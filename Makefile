@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see TESTING.md for the test layers.
 
-.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash verify-slow clean
+.PHONY: all test check chaos report autotune serve serve-smoke serve-chaos top trace-smoke ooc ooc-crash perfbench verify-slow clean
 
 all:
 	dune build @all
@@ -107,6 +107,20 @@ ooc-crash:
 	    --dir /tmp/geomix-ooc-km-$$seed || exit 1; \
 	  dune exec bin/geomix.exe -- ooc --seed $$seed --rot \
 	    --dir /tmp/geomix-ooc-rot-$$seed || exit 1; \
+	done
+
+# Measured wall-clock benchmark (perfbench/run.sh builds the release
+# profile into _perfbench_build/ and records each run under
+# _perfbench_out/): the untraced end-to-end run, then the traced
+# per-layer run, of both workloads.  Exits nonzero when any output check
+# fails.  45 s is BENCHMARK.json's run_seconds; call perfbench/run.sh
+# directly for another seed or length.
+perfbench:
+	for w in serve_mix ooc_factor; do \
+	  for trace in 0 1; do \
+	    bash perfbench/run.sh --workload $$w --seed 1 --seconds 45 \
+	      --trace $$trace || exit 1; \
+	  done; \
 	done
 
 # Exhaustive schedule enumeration — minutes-scale, out of tier-1.

@@ -1,10 +1,14 @@
 module Rng = Geomix_util.Rng
 
-type t = { dim : int; coords : float array array }
+(* Site i's coordinates are coords.(i·dim) .. coords.(i·dim + dim − 1):
+   one unboxed float array rather than a boxed array per site, which halves
+   the footprint of every location set a service cache holds. *)
+type t = { dim : int; coords : float array }
 
 let dim t = t.dim
-let count t = Array.length t.coords
-let coord t i = t.coords.(i)
+let count t = Array.length t.coords / t.dim
+let coord t i = Array.sub t.coords (i * t.dim) t.dim
+let of_sites dim sites = { dim; coords = Array.concat (Array.to_list sites) }
 
 let jittered_grid ~dims ~rng ~n =
   assert (n > 0);
@@ -28,13 +32,13 @@ let jittered_grid ~dims ~rng ~n =
   in
   (* Keep a uniformly random subset of exactly n cells. *)
   Rng.shuffle rng all;
-  { dim = dims; coords = Array.sub all 0 n }
+  of_sites dims (Array.sub all 0 n)
 
 let jittered_grid_2d ~rng ~n = jittered_grid ~dims:2 ~rng ~n
 let jittered_grid_3d ~rng ~n = jittered_grid ~dims:3 ~rng ~n
 
 let uniform ~dims ~rng ~n =
-  { dim = dims; coords = Array.init n (fun _ -> Array.init dims (fun _ -> Rng.float rng)) }
+  of_sites dims (Array.init n (fun _ -> Array.init dims (fun _ -> Rng.float rng)))
 
 let uniform_2d ~rng ~n = uniform ~dims:2 ~rng ~n
 let uniform_3d ~rng ~n = uniform ~dims:3 ~rng ~n
@@ -42,19 +46,21 @@ let uniform_3d ~rng ~n = uniform ~dims:3 ~rng ~n
 let of_coord_list ~dims coords =
   let coords = Array.of_list coords in
   Array.iter (fun c -> assert (Array.length c = dims)) coords;
-  { dim = dims; coords = Array.map Array.copy coords }
+  of_sites dims coords
 
-let subset t idx =
-  { t with coords = Array.of_list (List.map (fun i -> Array.copy t.coords.(i)) idx) }
+let subset t idx = of_sites t.dim (Array.of_list (List.map (coord t) idx))
 
-let distance t i j =
-  let a = t.coords.(i) and b = t.coords.(j) in
+let cross_distance s i t j =
+  assert (s.dim = t.dim);
+  let a = i * s.dim and b = j * t.dim in
   let acc = ref 0. in
-  for d = 0 to t.dim - 1 do
-    let x = a.(d) -. b.(d) in
+  for d = 0 to s.dim - 1 do
+    let x = s.coords.(a + d) -. t.coords.(b + d) in
     acc := !acc +. (x *. x)
   done;
   sqrt !acc
+
+let distance t i j = cross_distance t i t j
 
 (* Morton key: interleave the top 16 bits of each (quantised) coordinate. *)
 let morton_key dims coords =
@@ -72,6 +78,6 @@ let morton_key dims coords =
   !key
 
 let morton_sort t =
-  let keyed = Array.map (fun c -> (morton_key t.dim c, c)) t.coords in
+  let keyed = Array.init (count t) (fun i -> (morton_key t.dim (coord t i), i)) in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) keyed;
-  { t with coords = Array.map snd keyed }
+  of_sites t.dim (Array.map (fun (_, i) -> coord t i) keyed)

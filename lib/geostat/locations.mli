@@ -34,6 +34,11 @@ val subset : t -> int list -> t
 val distance : t -> int -> int -> float
 (** Euclidean distance between two sites. *)
 
+val cross_distance : t -> int -> t -> int -> float
+(** [cross_distance s i t j] is the Euclidean distance from site [i] of [s]
+    to site [j] of [t] (both sets must share the dimension); it reads the
+    stored coordinates in place and allocates nothing. *)
+
 val morton_sort : t -> t
 (** Sites reordered along a Z-order (Morton) space-filling curve, the
     ordering ExaGeoStat applies so that nearby tiles hold nearby sites —

@@ -3,15 +3,6 @@ module Blas = Geomix_linalg.Blas
 
 type t = { mean : float array; variance : float array }
 
-let cross_distance a i b j =
-  let ca = Locations.coord a i and cb = Locations.coord b j in
-  let acc = ref 0. in
-  for d = 0 to Array.length ca - 1 do
-    let x = ca.(d) -. cb.(d) in
-    acc := !acc +. (x *. x)
-  done;
-  sqrt !acc
-
 let predict ~cov ~obs_locs ~z ~new_locs =
   assert (Locations.dim obs_locs = Locations.dim new_locs);
   let n = Locations.count obs_locs and m = Locations.count new_locs in
@@ -23,7 +14,7 @@ let predict ~cov ~obs_locs ~z ~new_locs =
   let mean = Array.make m 0. and variance = Array.make m 0. in
   let c0 = Covariance.element cov new_locs 0 0 in
   for j = 0 to m - 1 do
-    let k = Array.init n (fun i -> Covariance.eval cov (cross_distance obs_locs i new_locs j)) in
+    let k = Array.init n (fun i -> Covariance.eval cov (Locations.cross_distance obs_locs i new_locs j)) in
     let mu = ref 0. in
     Array.iteri (fun i ki -> mu := !mu +. (ki *. alpha.(i))) k;
     mean.(j) <- !mu;

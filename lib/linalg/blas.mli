@@ -1,9 +1,20 @@
-(** Reference FP64 dense kernels — the four numerical kernels of the tile
-    Cholesky of Algorithm 1 (POTRF, TRSM, SYRK, GEMM) plus the triangular
-    and general building blocks the application driver needs.
+(** FP64 dense kernels — the four numerical kernels of the tile Cholesky
+    of Algorithm 1 (POTRF, TRSM, SYRK, GEMM) plus the triangular and
+    general building blocks the application driver needs.
 
-    All kernels are written loop-order-aware for the column-major layout of
-    {!Mat} and operate in place where BLAS would. *)
+    All kernels index the column-major buffer of {!Mat} directly and
+    operate in place where BLAS would.
+
+    {b Bitwise contract.}  Every kernel computes each output element with
+    the same operations in the same order as the textbook loop nest kept in
+    [Geomix_verify.Oracle.Blas_ref] (p ascending for every sum, the same
+    [x <> 0.] skips), so the two agree {e bitwise}: equal
+    [Int64.bits_of_float] on every non-NaN entry, and NaN in the same
+    positions.  Only the sign and payload of a NaN may differ, because x86
+    [addsd] propagates its first operand's NaN and the compiler may swap
+    the operands of a commutative operation.  The differential suites in
+    [test/test_blas.ml] and [test/test_blas_emul.ml] check this over random
+    shapes with ±0, subnormal, infinite and NaN inputs. *)
 
 exception Not_positive_definite of int
 (** Raised by {!potrf_lower} with the index of the failing pivot. *)
@@ -39,7 +50,9 @@ val potrf_lower : Mat.t -> unit
 (** In-place lower Cholesky factorization of a symmetric positive-definite
     matrix (only the lower triangle is read; the strict upper triangle is
     left untouched).
-    @raise Not_positive_definite if a pivot is not strictly positive. *)
+    @raise Not_positive_definite if a pivot is not strictly positive
+    (or NaN).  Columns left of the failing one hold their final factor;
+    the failing column and every column right of it are untouched. *)
 
 val trsv_lower : l:Mat.t -> float array -> float array
 (** Solve [L·y = b] (forward substitution). *)

@@ -3,21 +3,32 @@ module Rng = Geomix_util.Rng
 
 type fidelity = Per_op | Boundary
 
+module A = Bigarray.Array1
+
+(* The per-operation kernels run each output element's accumulation chain
+   column by column (contiguous reads), rounding inline through
+   [Fpformat.round_with]; each element sees the same operations in the
+   same order as the textbook loop nest. *)
+
 let gemm_nt_per_op ~prec ~alpha a b ~beta c =
   let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
+  let r = Fpformat.rounder sa in
   let ar = Mat.rounded si a and br = Mat.rounded si b in
   let m = Mat.rows a and k = Mat.cols a and n = Mat.rows b in
+  let ad = Mat.data ar and bd = Mat.data br and cd = Mat.data c in
   for j = 0 to n - 1 do
-    for i = 0 to m - 1 do
-      let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
-      for p = 0 to k - 1 do
+    let co = j * m in
+    for i = co to co + m - 1 do
+      A.unsafe_set cd i (Fpformat.round_with r (beta *. A.unsafe_get cd i))
+    done;
+    for p = 0 to k - 1 do
+      let ao = p * m and bjp = A.unsafe_get bd (j + (p * n)) in
+      for i = 0 to m - 1 do
         (* Tensor cores form exact products of the rounded inputs and round
            only the accumulation. *)
-        let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get br j p in
-        acc := r (!acc +. prod)
-      done;
-      Mat.unsafe_set c i j !acc
+        let prod = alpha *. A.unsafe_get ad (ao + i) *. bjp in
+        A.unsafe_set cd (co + i) (Fpformat.round_with r (A.unsafe_get cd (co + i) +. prod))
+      done
     done
   done
 
@@ -35,17 +46,22 @@ let gemm_nt ~fidelity ~prec ~alpha a b ~beta c =
 
 let syrk_lower_per_op ~prec ~alpha a ~beta c =
   let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
+  let r = Fpformat.rounder sa in
   let ar = Mat.rounded si a in
   let n = Mat.rows a and k = Mat.cols a in
+  let ad = Mat.data ar and cd = Mat.data c in
   for j = 0 to n - 1 do
-    for i = j to n - 1 do
-      let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
-      for p = 0 to k - 1 do
-        let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get ar j p in
-        acc := r (!acc +. prod)
-      done;
-      Mat.unsafe_set c i j !acc
+    let co = j * n in
+    for i = co + j to co + n - 1 do
+      A.unsafe_set cd i (Fpformat.round_with r (beta *. A.unsafe_get cd i))
+    done;
+    for p = 0 to k - 1 do
+      let ao = p * n in
+      let ajp = A.unsafe_get ad (ao + j) in
+      for i = j to n - 1 do
+        let prod = alpha *. A.unsafe_get ad (ao + i) *. ajp in
+        A.unsafe_set cd (co + i) (Fpformat.round_with r (A.unsafe_get cd (co + i) +. prod))
+      done
     done
   done
 
@@ -61,21 +77,26 @@ let syrk_lower ~fidelity ~prec ~alpha a ~beta c =
 
 let trsm_per_op ~prec ~l b =
   let sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
+  let r = Fpformat.rounder sa in
   let lr = Mat.rounded sa l in
   let n = Mat.cols b and m = Mat.rows b in
+  let ld = Mat.data lr and bd = Mat.data b in
   for j = 0 to n - 1 do
+    let bj = j * m in
     for p = 0 to j - 1 do
-      let ljp = Mat.unsafe_get lr j p in
-      if ljp <> 0. then
+      let ljp = A.unsafe_get ld (j + (p * n)) in
+      if ljp <> 0. then begin
+        let bp = p * m in
         for i = 0 to m - 1 do
-          Mat.unsafe_set b i j
-            (r (Mat.unsafe_get b i j -. r (Mat.unsafe_get b i p *. ljp)))
+          A.unsafe_set bd (bj + i)
+            (Fpformat.round_with r
+               (A.unsafe_get bd (bj + i) -. Fpformat.round_with r (A.unsafe_get bd (bp + i) *. ljp)))
         done
+      end
     done;
-    let d = Mat.unsafe_get lr j j in
-    for i = 0 to m - 1 do
-      Mat.unsafe_set b i j (r (Mat.unsafe_get b i j /. d))
+    let d = A.unsafe_get ld (j + (j * n)) in
+    for i = bj to bj + m - 1 do
+      A.unsafe_set bd i (Fpformat.round_with r (A.unsafe_get bd i /. d))
     done
   done
 
@@ -94,24 +115,33 @@ let trsm_right_lower_trans ~fidelity ~prec ~l b =
 
 let potrf_per_op ~prec a =
   let sa = Fpformat.accum_scalar prec in
-  let r = Fpformat.round sa in
+  let r = Fpformat.rounder sa in
   let n = Mat.rows a in
   Mat.round_inplace sa a;
+  let ad = Mat.data a in
+  (* Left-looking like [Blas.potrf_lower]: the pivot first, so a failing
+     column is left as it was. *)
   for j = 0 to n - 1 do
-    let s = ref (Mat.unsafe_get a j j) in
+    let cj = j * n in
+    let s = ref (A.unsafe_get ad (cj + j)) in
     for p = 0 to j - 1 do
-      let x = Mat.unsafe_get a j p in
-      s := r (!s -. r (x *. x))
+      let x = A.unsafe_get ad (j + (p * n)) in
+      s := Fpformat.round_with r (!s -. Fpformat.round_with r (x *. x))
     done;
     if not (!s > 0.) then raise (Blas.Not_positive_definite j);
-    let d = r (sqrt !s) in
-    Mat.unsafe_set a j j d;
-    for i = j + 1 to n - 1 do
-      let s = ref (Mat.unsafe_get a i j) in
-      for p = 0 to j - 1 do
-        s := r (!s -. r (Mat.unsafe_get a i p *. Mat.unsafe_get a j p))
-      done;
-      Mat.unsafe_set a i j (r (!s /. d))
+    let d = Fpformat.round_with r (sqrt !s) in
+    A.unsafe_set ad (cj + j) d;
+    for p = 0 to j - 1 do
+      let o = p * n in
+      let x = A.unsafe_get ad (o + j) in
+      for i = j + 1 to n - 1 do
+        A.unsafe_set ad (cj + i)
+          (Fpformat.round_with r
+             (A.unsafe_get ad (cj + i) -. Fpformat.round_with r (A.unsafe_get ad (o + i) *. x)))
+      done
+    done;
+    for i = cj + j + 1 to cj + n - 1 do
+      A.unsafe_set ad i (Fpformat.round_with r (A.unsafe_get ad i /. d))
     done
   done
 

@@ -4,12 +4,19 @@ type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = { data : buf; rows : int; cols : int }
 
+let alloc n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+
 let create ~rows ~cols =
   assert (rows >= 0 && cols >= 0);
-  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (rows * cols) in
+  let data = alloc (rows * cols) in
   Bigarray.Array1.fill data 0.;
   { data; rows; cols }
 
+(* Uninitialised storage of [t]'s shape, for results that overwrite every
+   entry. *)
+let like t = { t with data = alloc (t.rows * t.cols) }
+
+let data t = t.data
 let rows t = t.rows
 let cols t = t.cols
 
@@ -39,7 +46,7 @@ let init ~rows ~cols f =
 let fill t v = Bigarray.Array1.fill t.data v
 
 let copy t =
-  let t' = create ~rows:t.rows ~cols:t.cols in
+  let t' = like t in
   Bigarray.Array1.blit t.data t'.data;
   t'
 
@@ -63,17 +70,30 @@ let map_inplace f t =
     Bigarray.Array1.unsafe_set t.data k (f (Bigarray.Array1.unsafe_get t.data k))
   done
 
+(* [dst.{k} ← round src.{k}] over the whole buffer: one loop, the rounding
+   inlined. *)
+let round_into scalar (src : buf) (dst : buf) =
+  let r = Fpformat.rounder scalar in
+  for k = 0 to Bigarray.Array1.dim src - 1 do
+    Bigarray.Array1.unsafe_set dst k (Fpformat.round_with r (Bigarray.Array1.unsafe_get src k))
+  done
+
 let round_inplace scalar t =
-  match scalar with
-  | Fpformat.S_fp64 -> ()
-  | _ -> map_inplace (Fpformat.round scalar) t
+  match scalar with Fpformat.S_fp64 -> () | _ -> round_into scalar t.data t.data
 
 let rounded scalar t =
-  let t' = copy t in
-  round_inplace scalar t';
-  t'
+  match scalar with
+  | Fpformat.S_fp64 -> copy t
+  | _ ->
+    let t' = like t in
+    round_into scalar t.data t'.data;
+    t'
 
-let scale t alpha = map_inplace (fun x -> alpha *. x) t
+let scale t alpha =
+  let d = t.data in
+  for k = 0 to Bigarray.Array1.dim d - 1 do
+    Bigarray.Array1.unsafe_set d k (alpha *. Bigarray.Array1.unsafe_get d k)
+  done
 
 let add_scaled acc ~alpha x =
   assert (acc.rows = x.rows && acc.cols = x.cols);

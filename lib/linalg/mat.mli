@@ -7,6 +7,13 @@
 
 type t
 
+type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val data : t -> buf
+(** The backing buffer, column-major: entry (i, j) lives at [i + j·rows].
+    For kernels ({!Blas}, {!Blas_emul}) that index it directly with the
+    column offsets hoisted out of their inner loops. *)
+
 val create : rows:int -> cols:int -> t
 (** Zero-initialised matrix. *)
 
@@ -35,7 +42,9 @@ val identity : int -> t
 
 val map_inplace : (float -> float) -> t -> unit
 val round_inplace : Geomix_precision.Fpformat.scalar -> t -> unit
-(** Round every entry to the given scalar format (a datatype conversion). *)
+(** Round every entry to the given scalar format (a datatype conversion).
+    One whole-tile loop at the bit level ({!Geomix_precision.Fpformat.round_with});
+    entry for entry equal to {!Geomix_precision.Fpformat.round}. *)
 
 val rounded : Geomix_precision.Fpformat.scalar -> t -> t
 (** Fresh rounded copy; [rounded S_fp64] is just {!copy}. *)

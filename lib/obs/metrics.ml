@@ -222,7 +222,7 @@ let diff after before =
 
 let mean (h : hist_snapshot) = if h.count = 0 then Float.nan else h.sum /. float_of_int h.count
 
-let quantile (h : hist_snapshot) q =
+let bucket_quantile (h : hist_snapshot) q =
   if q < 0. || q > 1. then invalid_arg "Metrics.quantile";
   if h.count = 0 then Float.nan
   else begin
@@ -254,6 +254,11 @@ let quantile (h : hist_snapshot) q =
       !result
     end
   end
+
+let quantile h q =
+  let v = bucket_quantile h q in
+  (* Interpolating inside a bucket can land past the observed extremes. *)
+  if h.min_v <= h.max_v then Float.min h.max_v (Float.max h.min_v v) else v
 
 (* Exporters *)
 

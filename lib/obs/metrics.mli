@@ -94,7 +94,9 @@ val mean : hist_snapshot -> float
 val quantile : hist_snapshot -> float -> float
 (** Linear interpolation within the covering bucket; 0 when the quantile
     falls in underflow, the top edge when it falls in overflow, [nan] when
-    empty.  @raise Invalid_argument outside [0, 1]. *)
+    empty.  The result is clamped to [\[min_v, max_v\]], so it never lies
+    outside the observed range, and it is monotone in [q].
+    @raise Invalid_argument outside [0, 1]. *)
 
 (** {1 Exporters} *)
 

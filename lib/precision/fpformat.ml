@@ -70,6 +70,64 @@ let round s x =
       end
     end
 
+(* --- Bit-level rounding --------------------------------------------- *)
+
+(* The same rounding as [round], for whole-tile loops: no frexp/ldexp and no
+   closure per element.  FP32 is the hardware's own double-to-single
+   conversion.  For the other formats, in the normal range the binary64
+   bits are rounded to nearest even at the target's mantissa cut (a carry
+   out of the significand bumps the exponent, which is still the correctly
+   rounded result); in the target's subnormal range adding and subtracting
+   a constant whose ulp is the subnormal spacing lets the FPU's own
+   round-to-nearest-even do it. *)
+type rounder = {
+  single : bool;  (* FP32: round through Int32.bits_of_float *)
+  shift : int;  (* 52 − mant: binary64 significand bits dropped *)
+  half_m1 : int64;  (* 2^(shift−1) − 1: a tie rounds up only when odd *)
+  odd : int64;  (* 1, or 0 for FP64 where nothing is dropped *)
+  mask : int64;  (* clears the dropped bits *)
+  min_normal : float;  (* 2^emin *)
+  magic : float;  (* 2^(emin − mant + 52): its ulp is the subnormal spacing *)
+  max_finite : float;
+  overflow : float;  (* +inf, or the largest finite value when saturating *)
+}
+
+let rounder s =
+  let { mant; emin; _ } = spec_of s in
+  let shift = 52 - mant in
+  let max_finite = if s = S_fp64 then Float.max_float else scalar_max_value s in
+  {
+    single = s = S_fp32;
+    shift;
+    half_m1 = (if shift = 0 then 0L else Int64.pred (Int64.shift_left 1L (shift - 1)));
+    odd = (if shift = 0 then 0L else 1L);
+    mask = Int64.lognot (Int64.pred (Int64.shift_left 1L shift));
+    min_normal = Float.ldexp 1. emin;
+    magic = Float.ldexp 1. (emin - mant + 52);
+    max_finite;
+    overflow = (if saturating s then max_finite else Float.infinity);
+  }
+
+let[@inline] round_with r x =
+  (* Zeros, infinities and NaNs (where x − x is NaN) pass through. *)
+  if x -. x <> 0. then x
+  else if r.single then Int32.float_of_bits (Int32.bits_of_float x)
+  else if x = 0. then x
+  else if Float.abs x < r.min_normal then begin
+    let y = if x > 0. then x +. r.magic -. r.magic else x -. r.magic +. r.magic in
+    (* −c + c is +0: restore the sign of an underflow to zero. *)
+    if y = 0. then if x > 0. then 0. else -0. else y
+  end
+  else begin
+    let b = Int64.bits_of_float x in
+    let b =
+      Int64.add b
+        (Int64.add r.half_m1 (Int64.logand (Int64.shift_right_logical b r.shift) r.odd))
+    in
+    let y = Int64.float_of_bits (Int64.logand b r.mask) in
+    if Float.abs y > r.max_finite then if x > 0. then r.overflow else -.r.overflow else y
+  end
+
 let scalar_bytes = function
   | S_fp64 -> 8
   | S_fp32 | S_tf32 -> 4

@@ -34,6 +34,20 @@ val round : scalar -> float -> float
     and infinities pass through; [round S_fp64] is the identity on finite
     floats. *)
 
+type rounder
+(** The constants of one scalar format's bit-level rounding. *)
+
+val rounder : scalar -> rounder
+
+val round_with : rounder -> float -> float
+(** [round_with (rounder s) x] is [round s x], bit for bit, computed on the
+    binary64 bits (round to nearest even at the mantissa cut) in the normal
+    range and by adding and subtracting [copysign(2^(emin−mant+52), x)] in
+    the subnormal range, then overflowing or saturating like {!round}.
+    Zeros and non-finite values pass through.  This is the form the
+    whole-tile conversions and the per-operation emulated kernels use;
+    {!round} stays the scalar reference the tests compare it against. *)
+
 val scalar_bytes : scalar -> int
 (** Storage/transfer footprint per element (TF32 occupies 4 bytes). *)
 

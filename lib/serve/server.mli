@@ -6,7 +6,7 @@
     optimizer (or many) evaluates the Gaussian log-likelihood for a stream
     of parameter points over a fixed problem shape, so the expensive
     shape-level pre-work — precision map, Algorithm 2 communication map,
-    static DAG, autotune advice — is memoized in a {!Cache} and every
+    static DAG — is memoized in a {!Cache} and every
     evaluation reuses it.
 
     {b Concurrency.}  Each admitted request factorizes under its own

@@ -92,6 +92,54 @@ let spd_spec ?(min_n = 4) ?(max_n = 64) () =
       pair (int_range min_n max_n) (int_range 0 1_000_000)
       >|= fun (n, mseed) -> { n; mseed })
 
+(* --- random kernel operands ------------------------------------------ *)
+
+type shape_spec = { m : int; n : int; k : int; sseed : int; specials : bool }
+
+(* One entry: mostly Gaussian; with [specials], also ±0, binary64
+   subnormals, values in the subnormal range of FP16/FP8, ±inf and NaN. *)
+let entry rng specials =
+  let g = Rng.gaussian rng in
+  if not specials then g
+  else
+    match Rng.int rng 16 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | 2 -> g *. Float.ldexp 1. (-1070)
+    | 3 -> g *. Float.ldexp 1. (-16 - Rng.int rng 10)
+    | 4 -> if Rng.int rng 2 = 0 then Float.infinity else Float.neg_infinity
+    | 5 -> Float.nan
+    | _ -> g
+
+let operand { sseed; specials; _ } i ~rows ~cols =
+  let rng = Rng.create ~seed:((sseed * 31) + i) in
+  Mat.init ~rows ~cols (fun _ _ -> entry rng specials)
+
+let spoil_lower s ?(diagonal = false) t =
+  let n = Mat.rows t in
+  let noise = operand s 7 ~rows:n ~cols:n in
+  for j = 0 to n - 1 do
+    for i = (if diagonal then j else j + 1) to n - 1 do
+      let x = Mat.get noise i j in
+      if Float.abs x < 1e-4 || not (Float.is_finite x) then Mat.set t i j x
+    done
+  done
+
+let shape_spec ?(max_dim = 13) () =
+  (* Unit dimensions a quarter of the time, so 1×1 and vector shapes
+     come up often. *)
+  let dim = Q.Gen.(frequency [ (1, return 1); (3, int_range 1 max_dim) ]) in
+  Q.make
+    ~print:(fun { m; n; k; sseed; specials } ->
+      Printf.sprintf "{ m = %d; n = %d; k = %d; sseed = %d; specials = %b }" m n k sseed
+        specials)
+    Q.Gen.(
+      map
+        (fun ((m, n, k), (sseed, specials)) -> { m; n; k; sseed; specials })
+        (pair
+           (triple dim dim dim)
+           (pair (int_range 0 1_000_000) bool)))
+
 (* --- random kernel-precision maps ------------------------------------ *)
 
 type pmap_spec = { nt : int; kseed : int }

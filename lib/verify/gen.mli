@@ -41,6 +41,28 @@ val spd_of_spec : spd_spec -> Geomix_linalg.Mat.t
 
 val spd_spec : ?min_n:int -> ?max_n:int -> unit -> spd_spec QCheck.arbitrary
 
+(** {1 Random kernel operands} *)
+
+type shape_spec = { m : int; n : int; k : int; sseed : int; specials : bool }
+(** Dimensions for one kernel call (each in [\[1, max_dim\]], so 1×1 and
+    non-square shapes occur) plus a seed for its operands. *)
+
+val operand : shape_spec -> int -> rows:int -> cols:int -> Geomix_linalg.Mat.t
+(** [operand s i ~rows ~cols] is the [i]-th operand of the instance:
+    Gaussian entries and, when [s.specials], about one in three entries
+    drawn from ±0, binary64 subnormals, values in the subnormal range of
+    the narrow formats, ±inf and NaN. *)
+
+val spoil_lower : shape_spec -> ?diagonal:bool -> Geomix_linalg.Mat.t -> unit
+(** Copy the special entries (zeros, subnormals, ±inf, NaN) of an
+    [s]-seeded operand into the strict lower triangle of a square matrix —
+    the whole lower triangle with [~diagonal:true] — so triangular kernels
+    meet zero skips, non-finite propagation and failing pivots. *)
+
+val shape_spec : ?max_dim:int -> unit -> shape_spec QCheck.arbitrary
+(** [max_dim] defaults to 13: odd, so the kernels' four-column register
+    tiles always meet a remainder. *)
+
 (** {1 Random kernel-precision maps} *)
 
 type pmap_spec = { nt : int; kseed : int }

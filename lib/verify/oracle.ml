@@ -115,3 +115,307 @@ let check_cholesky ?c ?options ~pmap ~nb dense =
   let nt = Pm.nt pmap in
   let fp64 = factor_residual ~pmap:(Pm.uniform ~nt Fp.Fp64) ~nb dense in
   (residual, bound, fp64)
+
+(* --- Bitwise agreement ------------------------------------------------- *)
+
+(* Equal bits, except that any two NaNs agree: x86 [addsd] propagates its
+   first operand's NaN and the compiler may swap commutative operands, so
+   only a NaN's sign and payload may differ. *)
+let same_bits x y =
+  if Float.is_nan x then Float.is_nan y
+  else (not (Float.is_nan y)) && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let first_mismatch a b =
+  if Mat.rows a <> Mat.rows b || Mat.cols a <> Mat.cols b then Some (-1, -1, nan, nan)
+  else begin
+    let found = ref None in
+    for j = Mat.cols a - 1 downto 0 do
+      for i = Mat.rows a - 1 downto 0 do
+        let x = Mat.get a i j and y = Mat.get b i j in
+        if not (same_bits x y) then found := Some (i, j, x, y)
+      done
+    done;
+    !found
+  end
+
+(* --- Reference kernels ------------------------------------------------- *)
+
+(* The textbook FP64 kernels the optimized [Blas] replaced, kept verbatim
+   (element accessors, row-oriented dot products, a closure per rounding)
+   as the test-only reference the differential suites compare against
+   bitwise. *)
+module Blas_ref = struct
+  let gemm_nt ~alpha a b ~beta c =
+    let m = Mat.rows a and k = Mat.cols a and n = Mat.rows b in
+    assert (Mat.cols b = k);
+    assert (Mat.rows c = m && Mat.cols c = n);
+    if beta <> 1. then Mat.scale c beta;
+    for j = 0 to n - 1 do
+      for p = 0 to k - 1 do
+        let bjp = alpha *. Mat.unsafe_get b j p in
+        if bjp <> 0. then
+          for i = 0 to m - 1 do
+            Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (Mat.unsafe_get a i p *. bjp))
+          done
+      done
+    done
+
+  let gemm ?(transa = false) ?(transb = false) ~alpha a b ~beta c =
+    let opa i p = if transa then Mat.unsafe_get a p i else Mat.unsafe_get a i p in
+    let opb p j = if transb then Mat.unsafe_get b j p else Mat.unsafe_get b p j in
+    let m = if transa then Mat.cols a else Mat.rows a in
+    let k = if transa then Mat.rows a else Mat.cols a in
+    let n = if transb then Mat.rows b else Mat.cols b in
+    assert ((if transb then Mat.cols b else Mat.rows b) = k);
+    assert (Mat.rows c = m && Mat.cols c = n);
+    if beta <> 1. then Mat.scale c beta;
+    for j = 0 to n - 1 do
+      for p = 0 to k - 1 do
+        let bpj = alpha *. opb p j in
+        if bpj <> 0. then
+          for i = 0 to m - 1 do
+            Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (opa i p *. bpj))
+          done
+      done
+    done
+
+  let syrk_lower ~alpha a ~beta c =
+    let n = Mat.rows a and k = Mat.cols a in
+    assert (Mat.rows c = n && Mat.cols c = n);
+    if beta <> 1. then
+      for j = 0 to n - 1 do
+        for i = j to n - 1 do
+          Mat.unsafe_set c i j (beta *. Mat.unsafe_get c i j)
+        done
+      done;
+    for j = 0 to n - 1 do
+      for p = 0 to k - 1 do
+        let ajp = alpha *. Mat.unsafe_get a j p in
+        if ajp <> 0. then
+          for i = j to n - 1 do
+            Mat.unsafe_set c i j (Mat.unsafe_get c i j +. (Mat.unsafe_get a i p *. ajp))
+          done
+      done
+    done
+
+  let trsm_right_lower_trans ~l b =
+    let n = Mat.cols b and m = Mat.rows b in
+    assert (Mat.rows l = n && Mat.cols l = n);
+    (* Solve X·Lᵀ = B column block by column block:
+       X(:,j) = (B(:,j) − Σ_{p<j} X(:,p)·L(j,p)) / L(j,j). *)
+    for j = 0 to n - 1 do
+      for p = 0 to j - 1 do
+        let ljp = Mat.unsafe_get l j p in
+        if ljp <> 0. then
+          for i = 0 to m - 1 do
+            Mat.unsafe_set b i j (Mat.unsafe_get b i j -. (Mat.unsafe_get b i p *. ljp))
+          done
+      done;
+      let d = Mat.unsafe_get l j j in
+      for i = 0 to m - 1 do
+        Mat.unsafe_set b i j (Mat.unsafe_get b i j /. d)
+      done
+    done
+
+  let trsm_left_lower_notrans ~l b =
+    let m = Mat.rows b and n = Mat.cols b in
+    assert (Mat.rows l = m && Mat.cols l = m);
+    (* Forward substitution down each column of B. *)
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        let s = ref (Mat.unsafe_get b i j) in
+        for p = 0 to i - 1 do
+          s := !s -. (Mat.unsafe_get l i p *. Mat.unsafe_get b p j)
+        done;
+        Mat.unsafe_set b i j (!s /. Mat.unsafe_get l i i)
+      done
+    done
+
+  let potrf_lower a =
+    let n = Mat.rows a in
+    assert (Mat.cols a = n);
+    for j = 0 to n - 1 do
+      (* Pivot: A(j,j) − Σ_{p<j} A(j,p)². *)
+      let s = ref (Mat.unsafe_get a j j) in
+      for p = 0 to j - 1 do
+        let x = Mat.unsafe_get a j p in
+        s := !s -. (x *. x)
+      done;
+      if not (!s > 0.) then raise (Blas.Not_positive_definite j);
+      let d = sqrt !s in
+      Mat.unsafe_set a j j d;
+      for i = j + 1 to n - 1 do
+        let s = ref (Mat.unsafe_get a i j) in
+        for p = 0 to j - 1 do
+          s := !s -. (Mat.unsafe_get a i p *. Mat.unsafe_get a j p)
+        done;
+        Mat.unsafe_set a i j (!s /. d)
+      done
+    done
+
+  let trsv_lower ~l b =
+    let n = Mat.rows l in
+    assert (Array.length b = n);
+    let y = Array.copy b in
+    for i = 0 to n - 1 do
+      let s = ref y.(i) in
+      for p = 0 to i - 1 do
+        s := !s -. (Mat.unsafe_get l i p *. y.(p))
+      done;
+      y.(i) <- !s /. Mat.unsafe_get l i i
+    done;
+    y
+
+  let trsv_lower_trans ~l b =
+    let n = Mat.rows l in
+    assert (Array.length b = n);
+    let x = Array.copy b in
+    for i = n - 1 downto 0 do
+      let s = ref x.(i) in
+      for p = i + 1 to n - 1 do
+        s := !s -. (Mat.unsafe_get l p i *. x.(p))
+      done;
+      x.(i) <- !s /. Mat.unsafe_get l i i
+    done;
+    x
+end
+
+module Emul = Geomix_linalg.Blas_emul
+
+(* Element-at-a-time conversion through the scalar [Fpformat.round]. *)
+let round_inplace scalar t =
+  match scalar with
+  | Fp.S_fp64 -> ()
+  | _ -> Mat.map_inplace (Fp.round scalar) t
+
+let rounded scalar t =
+  let t' = Mat.copy t in
+  round_inplace scalar t';
+  t'
+
+(* The emulated kernels as they were before the bit-level rounding: every
+   rounding a closure call of [Fpformat.round], the Boundary path through
+   [Blas_ref]. *)
+module Emul_ref = struct
+  let gemm_nt_per_op ~prec ~alpha a b ~beta c =
+    let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
+    let r = Fpformat.round sa in
+    let ar = rounded si a and br = rounded si b in
+    let m = Mat.rows a and k = Mat.cols a and n = Mat.rows b in
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
+        for p = 0 to k - 1 do
+          (* Tensor cores form exact products of the rounded inputs and round
+             only the accumulation. *)
+          let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get br j p in
+          acc := r (!acc +. prod)
+        done;
+        Mat.unsafe_set c i j !acc
+      done
+    done
+
+  let gemm_nt_boundary ~prec ~alpha a b ~beta c =
+    let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
+    let ar = rounded si a and br = rounded si b in
+    Blas_ref.gemm_nt ~alpha ar br ~beta c;
+    round_inplace sa c
+
+  let gemm_nt ~fidelity ~prec ~alpha a b ~beta c =
+    match ((fidelity : Emul.fidelity), prec) with
+    | _, Fpformat.Fp64 -> Blas_ref.gemm_nt ~alpha a b ~beta c
+    | Emul.Per_op, _ -> gemm_nt_per_op ~prec ~alpha a b ~beta c
+    | Emul.Boundary, _ -> gemm_nt_boundary ~prec ~alpha a b ~beta c
+
+  let syrk_lower_per_op ~prec ~alpha a ~beta c =
+    let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
+    let r = Fpformat.round sa in
+    let ar = rounded si a in
+    let n = Mat.rows a and k = Mat.cols a in
+    for j = 0 to n - 1 do
+      for i = j to n - 1 do
+        let acc = ref (r (beta *. Mat.unsafe_get c i j)) in
+        for p = 0 to k - 1 do
+          let prod = alpha *. Mat.unsafe_get ar i p *. Mat.unsafe_get ar j p in
+          acc := r (!acc +. prod)
+        done;
+        Mat.unsafe_set c i j !acc
+      done
+    done
+
+  let syrk_lower ~fidelity ~prec ~alpha a ~beta c =
+    match ((fidelity : Emul.fidelity), prec) with
+    | _, Fpformat.Fp64 -> Blas_ref.syrk_lower ~alpha a ~beta c
+    | Emul.Per_op, _ -> syrk_lower_per_op ~prec ~alpha a ~beta c
+    | Emul.Boundary, _ ->
+      let si = Fpformat.input_scalar prec and sa = Fpformat.accum_scalar prec in
+      let ar = rounded si a in
+      Blas_ref.syrk_lower ~alpha ar ~beta c;
+      round_inplace sa c
+
+  let trsm_per_op ~prec ~l b =
+    let sa = Fpformat.accum_scalar prec in
+    let r = Fpformat.round sa in
+    let lr = rounded sa l in
+    let n = Mat.cols b and m = Mat.rows b in
+    for j = 0 to n - 1 do
+      for p = 0 to j - 1 do
+        let ljp = Mat.unsafe_get lr j p in
+        if ljp <> 0. then
+          for i = 0 to m - 1 do
+            Mat.unsafe_set b i j
+              (r (Mat.unsafe_get b i j -. r (Mat.unsafe_get b i p *. ljp)))
+          done
+      done;
+      let d = Mat.unsafe_get lr j j in
+      for i = 0 to m - 1 do
+        Mat.unsafe_set b i j (r (Mat.unsafe_get b i j /. d))
+      done
+    done
+
+  let trsm_right_lower_trans ~fidelity ~prec ~l b =
+    match ((fidelity : Emul.fidelity), prec) with
+    | _, Fpformat.Fp64 -> Blas_ref.trsm_right_lower_trans ~l b
+    | Emul.Per_op, _ ->
+      round_inplace (Fpformat.accum_scalar prec) b;
+      trsm_per_op ~prec ~l b
+    | Emul.Boundary, _ ->
+      let sa = Fpformat.accum_scalar prec in
+      let lr = rounded sa l in
+      round_inplace sa b;
+      Blas_ref.trsm_right_lower_trans ~l:lr b;
+      round_inplace sa b
+
+  let potrf_per_op ~prec a =
+    let sa = Fpformat.accum_scalar prec in
+    let r = Fpformat.round sa in
+    let n = Mat.rows a in
+    round_inplace sa a;
+    for j = 0 to n - 1 do
+      let s = ref (Mat.unsafe_get a j j) in
+      for p = 0 to j - 1 do
+        let x = Mat.unsafe_get a j p in
+        s := r (!s -. r (x *. x))
+      done;
+      if not (!s > 0.) then raise (Blas.Not_positive_definite j);
+      let d = r (sqrt !s) in
+      Mat.unsafe_set a j j d;
+      for i = j + 1 to n - 1 do
+        let s = ref (Mat.unsafe_get a i j) in
+        for p = 0 to j - 1 do
+          s := r (!s -. r (Mat.unsafe_get a i p *. Mat.unsafe_get a j p))
+        done;
+        Mat.unsafe_set a i j (r (!s /. d))
+      done
+    done
+
+  let potrf_lower ~fidelity ~prec a =
+    match ((fidelity : Emul.fidelity), prec) with
+    | _, Fpformat.Fp64 -> Blas_ref.potrf_lower a
+    | Emul.Per_op, _ -> potrf_per_op ~prec a
+    | Emul.Boundary, _ ->
+      let sa = Fpformat.accum_scalar prec in
+      round_inplace sa a;
+      Blas_ref.potrf_lower a;
+      round_inplace sa a
+end

@@ -53,3 +53,84 @@ val check_cholesky :
     factorize in pure FP64.  Returns (mixed residual, bound, fp64
     residual); the caller asserts residual ≤ bound and fp64 residual ≤ the
     FP64 floor. *)
+
+(** {1 Bitwise agreement} *)
+
+val same_bits : float -> float -> bool
+(** Equal [Int64.bits_of_float], or both NaN (sign and payload may differ);
+    the definition in [blas.mli]. *)
+
+val first_mismatch :
+  Geomix_linalg.Mat.t -> Geomix_linalg.Mat.t -> (int * int * float * float) option
+(** The first entry, in column-major order, where {!same_bits} fails:
+    (i, j, left, right); [(-1, -1, nan, nan)] when the shapes differ. *)
+
+(** {1 Reference kernels}
+
+    The textbook FP64 kernels and the closure-per-element emulated kernels
+    that {!Geomix_linalg.Blas} and {!Geomix_linalg.Blas_emul} replaced,
+    kept verbatim as the test-only reference.  The optimized kernels must
+    agree with them bitwise in the sense documented in [blas.mli]. *)
+
+module Blas_ref : sig
+  val gemm_nt :
+    alpha:float -> Geomix_linalg.Mat.t -> Geomix_linalg.Mat.t -> beta:float -> Geomix_linalg.Mat.t -> unit
+
+  val gemm :
+    ?transa:bool ->
+    ?transb:bool ->
+    alpha:float ->
+    Geomix_linalg.Mat.t ->
+    Geomix_linalg.Mat.t ->
+    beta:float ->
+    Geomix_linalg.Mat.t ->
+    unit
+
+  val syrk_lower :
+    alpha:float -> Geomix_linalg.Mat.t -> beta:float -> Geomix_linalg.Mat.t -> unit
+
+  val trsm_right_lower_trans : l:Geomix_linalg.Mat.t -> Geomix_linalg.Mat.t -> unit
+  val trsm_left_lower_notrans : l:Geomix_linalg.Mat.t -> Geomix_linalg.Mat.t -> unit
+
+  val potrf_lower : Geomix_linalg.Mat.t -> unit
+  (** @raise Geomix_linalg.Blas.Not_positive_definite like the optimized kernel. *)
+
+  val trsv_lower : l:Geomix_linalg.Mat.t -> float array -> float array
+  val trsv_lower_trans : l:Geomix_linalg.Mat.t -> float array -> float array
+end
+
+val round_inplace : Fpformat.scalar -> Geomix_linalg.Mat.t -> unit
+(** Element-at-a-time conversion through the scalar {!Fpformat.round}. *)
+
+val rounded : Fpformat.scalar -> Geomix_linalg.Mat.t -> Geomix_linalg.Mat.t
+
+module Emul_ref : sig
+  val gemm_nt :
+    fidelity:Geomix_linalg.Blas_emul.fidelity ->
+    prec:Fpformat.t ->
+    alpha:float ->
+    Geomix_linalg.Mat.t ->
+    Geomix_linalg.Mat.t ->
+    beta:float ->
+    Geomix_linalg.Mat.t ->
+    unit
+
+  val syrk_lower :
+    fidelity:Geomix_linalg.Blas_emul.fidelity ->
+    prec:Fpformat.t ->
+    alpha:float ->
+    Geomix_linalg.Mat.t ->
+    beta:float ->
+    Geomix_linalg.Mat.t ->
+    unit
+
+  val trsm_right_lower_trans :
+    fidelity:Geomix_linalg.Blas_emul.fidelity ->
+    prec:Fpformat.t ->
+    l:Geomix_linalg.Mat.t ->
+    Geomix_linalg.Mat.t ->
+    unit
+
+  val potrf_lower :
+    fidelity:Geomix_linalg.Blas_emul.fidelity -> prec:Fpformat.t -> Geomix_linalg.Mat.t -> unit
+end

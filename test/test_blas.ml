@@ -2,6 +2,8 @@ module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Check = Geomix_linalg.Check
 module Rng = Geomix_util.Rng
+module Oracle = Geomix_verify.Oracle
+module Gen = Geomix_verify.Gen
 
 let test_gemm_nt_small () =
   (* C = A·Bᵀ with A=[[1,2],[3,4]], B=[[5,6],[7,8]] ⇒ [[17,23],[39,53]]. *)
@@ -162,6 +164,127 @@ let prop_gemm_linearity =
       Mat.scale c2 alpha;
       Mat.rel_diff c1 ~reference:c2 < 1e-12 || Mat.frobenius c2 = 0.)
 
+(* --- differential: every kernel against the reference loop nest --------- *)
+
+(* Bitwise agreement as [blas.mli] defines it, with the first differing
+   entry in the failure message. *)
+let same name got reference =
+  match Oracle.first_mismatch got reference with
+  | None -> true
+  | Some (i, j, x, y) ->
+    QCheck.Test.fail_reportf "%s: entry (%d, %d) is %h, reference %h" name i j x y
+
+let alpha (s : Gen.shape_spec) = List.nth [ 1.; -1.; 0.5; 0.; 2.5; -0. ] (s.Gen.sseed mod 6)
+let beta (s : Gen.shape_spec) = List.nth [ 1.; 0.; -1.; 3.; 0.25 ] (s.Gen.sseed / 6 mod 5)
+
+(* A lower factor with special entries below the diagonal. *)
+let factor (s : Gen.shape_spec) n =
+  let l = Blas.cholesky (Gen.spd_of_spec { Gen.n; mseed = s.Gen.sseed }) in
+  Gen.spoil_lower s l;
+  l
+
+let outcome f = match f () with () -> None | exception Blas.Not_positive_definite j -> Some j
+
+let diff name ~count prop =
+  QCheck.Test.make ~name ~count (Gen.shape_spec ()) prop
+
+let prop_gemm_nt =
+  diff "gemm_nt = reference" ~count:300 (fun s ->
+      let a = Gen.operand s 0 ~rows:s.Gen.m ~cols:s.Gen.k
+      and b = Gen.operand s 1 ~rows:s.Gen.n ~cols:s.Gen.k
+      and c = Gen.operand s 2 ~rows:s.Gen.m ~cols:s.Gen.n in
+      let c' = Mat.copy c in
+      Blas.gemm_nt ~alpha:(alpha s) a b ~beta:(beta s) c;
+      Oracle.Blas_ref.gemm_nt ~alpha:(alpha s) a b ~beta:(beta s) c';
+      same "gemm_nt" c c')
+
+let prop_gemm =
+  diff "gemm (all transposes) = reference" ~count:200 (fun s ->
+      List.for_all
+        (fun (transa, transb) ->
+          let m = s.Gen.m and n = s.Gen.n and k = s.Gen.k in
+          let a = if transa then Gen.operand s 0 ~rows:k ~cols:m else Gen.operand s 0 ~rows:m ~cols:k
+          and b = if transb then Gen.operand s 1 ~rows:n ~cols:k else Gen.operand s 1 ~rows:k ~cols:n
+          and c = Gen.operand s 2 ~rows:m ~cols:n in
+          let c' = Mat.copy c in
+          Blas.gemm ~transa ~transb ~alpha:(alpha s) a b ~beta:(beta s) c;
+          Oracle.Blas_ref.gemm ~transa ~transb ~alpha:(alpha s) a b ~beta:(beta s) c';
+          same (Printf.sprintf "gemm transa=%b transb=%b" transa transb) c c')
+        [ (false, false); (true, false); (false, true); (true, true) ])
+
+let prop_syrk =
+  diff "syrk_lower = reference" ~count:300 (fun s ->
+      let a = Gen.operand s 0 ~rows:s.Gen.n ~cols:s.Gen.k
+      and c = Gen.operand s 2 ~rows:s.Gen.n ~cols:s.Gen.n in
+      let c' = Mat.copy c in
+      Blas.syrk_lower ~alpha:(alpha s) a ~beta:(beta s) c;
+      Oracle.Blas_ref.syrk_lower ~alpha:(alpha s) a ~beta:(beta s) c';
+      same "syrk_lower" c c')
+
+let prop_trsm_right =
+  diff "trsm_right_lower_trans = reference" ~count:300 (fun s ->
+      let l = factor s s.Gen.n and b = Gen.operand s 1 ~rows:s.Gen.m ~cols:s.Gen.n in
+      let b' = Mat.copy b in
+      Blas.trsm_right_lower_trans ~l b;
+      Oracle.Blas_ref.trsm_right_lower_trans ~l b';
+      same "trsm_right_lower_trans" b b')
+
+let prop_trsm_left =
+  diff "trsm_left_lower_notrans = reference" ~count:300 (fun s ->
+      let l = factor s s.Gen.m and b = Gen.operand s 1 ~rows:s.Gen.m ~cols:s.Gen.n in
+      let b' = Mat.copy b in
+      Blas.trsm_left_lower_notrans ~l b;
+      Oracle.Blas_ref.trsm_left_lower_notrans ~l b';
+      same "trsm_left_lower_notrans" b b')
+
+let prop_potrf =
+  diff "potrf_lower = reference, also on failure" ~count:300 (fun s ->
+      let n = s.Gen.n in
+      let a = Gen.spd_of_spec { Gen.n; mseed = s.Gen.sseed } in
+      (* Spoiled pivots make some inputs fail part-way through. *)
+      Gen.spoil_lower s ~diagonal:true a;
+      let a' = Mat.copy a in
+      let r = outcome (fun () -> Blas.potrf_lower a)
+      and r' = outcome (fun () -> Oracle.Blas_ref.potrf_lower a') in
+      if r <> r' then QCheck.Test.fail_reportf "potrf outcome differs"
+      else same "potrf_lower" a a')
+
+let prop_trsv =
+  diff "trsv_lower / trsv_lower_trans = reference" ~count:300 (fun s ->
+      let n = s.Gen.n in
+      let l = factor s n in
+      let b = (Mat.to_arrays (Mat.transpose (Gen.operand s 4 ~rows:n ~cols:1))).(0) in
+      let y = Blas.trsv_lower ~l b and y' = Oracle.Blas_ref.trsv_lower ~l b in
+      let x = Blas.trsv_lower_trans ~l b and x' = Oracle.Blas_ref.trsv_lower_trans ~l b in
+      let col u = Mat.init ~rows:n ~cols:1 (fun i _ -> u.(i)) in
+      same "trsv_lower" (col y) (col y') && same "trsv_lower_trans" (col x) (col x'))
+
+(* A matrix that is positive definite up to column j: both kernels raise
+   at j, the columns before it hold the same factor, and column j onwards
+   is exactly the input. *)
+let test_potrf_failure_state () =
+  let n = 12 in
+  let base = Gen.spd_of_spec { Gen.n; mseed = 3 } in
+  List.iter
+    (fun (what, j, spoil) ->
+      let a = Mat.copy base in
+      spoil a;
+      let input = Mat.copy a and a' = Mat.copy a in
+      let r = outcome (fun () -> Blas.potrf_lower a)
+      and r' = outcome (fun () -> Oracle.Blas_ref.potrf_lower a') in
+      Alcotest.(check (option int)) (what ^ ": raises at j") (Some j) r;
+      Alcotest.(check (option int)) (what ^ ": reference raises at j") (Some j) r';
+      Alcotest.(check bool) (what ^ ": identical buffers") true (Oracle.first_mismatch a a' = None);
+      let tail m = Mat.sub_view_copy m ~row:0 ~col:j ~rows:n ~cols:(n - j) in
+      Alcotest.(check bool) (what ^ ": column j onwards untouched") true
+        (Oracle.first_mismatch (tail a) (tail input) = None))
+    [
+      ("negative pivot", 5, fun a -> Mat.set a 5 5 (-1.));
+      ("zero pivot", 0, fun a -> Mat.set a 0 0 0.);
+      ("NaN below the diagonal", 7, fun a -> Mat.set a 7 3 Float.nan);
+      ("last column", n - 1, fun a -> Mat.set a (n - 1) (n - 1) (-.Float.infinity));
+    ]
+
 let () =
   Alcotest.run "blas"
     [
@@ -181,7 +304,11 @@ let () =
           Alcotest.test_case "trsm left/right consistent" `Quick test_trsm_left_right_consistent;
           Alcotest.test_case "trsv roundtrip" `Quick test_trsv_roundtrip;
           Alcotest.test_case "log det" `Quick test_log_det;
+          Alcotest.test_case "potrf failure state = reference" `Quick test_potrf_failure_state;
         ] );
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_gemm_nt; prop_gemm; prop_syrk; prop_trsm_right; prop_trsm_left; prop_potrf; prop_trsv ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_cholesky_roundtrip; prop_gemm_linearity ] );
     ]

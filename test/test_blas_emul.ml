@@ -4,6 +4,8 @@ module Emul = Geomix_linalg.Blas_emul
 module Check = Geomix_linalg.Check
 module Fp = Geomix_precision.Fpformat
 module Rng = Geomix_util.Rng
+module Oracle = Geomix_verify.Oracle
+module Gen = Geomix_verify.Gen
 
 let random_pair rng n =
   let a = Mat.init ~rows:n ~cols:n (fun _ _ -> Rng.float rng) in
@@ -114,6 +116,75 @@ let prop_emul_error_bounded =
       let u = Fp.scalar_unit_roundoff (Fp.input_scalar prec) in
       e <= 8. *. float_of_int n *. u)
 
+(* --- differential: every precision and fidelity against the reference -- *)
+
+(* Each case runs the kernel at every kernel precision in both fidelities
+   and requires bitwise agreement (as [blas.mli] defines it) with the
+   closure-per-element kernels kept in [Oracle.Emul_ref]. *)
+let every_mode s name run =
+  List.for_all
+    (fun prec ->
+      List.for_all
+        (fun fidelity ->
+          let got, reference = run s ~fidelity ~prec in
+          match Oracle.first_mismatch got reference with
+          | None -> true
+          | Some (i, j, x, y) ->
+            QCheck.Test.fail_reportf "%s %s %s: entry (%d, %d) is %h, reference %h" name
+              (Fp.name prec)
+              (match fidelity with Emul.Per_op -> "per-op" | Emul.Boundary -> "boundary")
+              i j x y)
+        [ Emul.Per_op; Emul.Boundary ])
+    Fp.all
+
+let diff name ~count run =
+  QCheck.Test.make ~name ~count (Gen.shape_spec ()) (fun s -> every_mode s name run)
+
+let alpha (s : Gen.shape_spec) = List.nth [ -1.; 1.; 0.3; 0. ] (s.Gen.sseed mod 4)
+let beta (s : Gen.shape_spec) = List.nth [ 1.; 0.; -0.7 ] (s.Gen.sseed / 4 mod 3)
+
+let outcome f = match f () with () -> None | exception Blas.Not_positive_definite j -> Some j
+
+let prop_gemm_nt =
+  diff "emulated gemm_nt = reference" ~count:60 (fun s ~fidelity ~prec ->
+      let a = Gen.operand s 0 ~rows:s.Gen.m ~cols:s.Gen.k
+      and b = Gen.operand s 1 ~rows:s.Gen.n ~cols:s.Gen.k
+      and c = Gen.operand s 2 ~rows:s.Gen.m ~cols:s.Gen.n in
+      let c' = Mat.copy c in
+      Emul.gemm_nt ~fidelity ~prec ~alpha:(alpha s) a b ~beta:(beta s) c;
+      Oracle.Emul_ref.gemm_nt ~fidelity ~prec ~alpha:(alpha s) a b ~beta:(beta s) c';
+      (c, c'))
+
+let prop_syrk =
+  diff "emulated syrk_lower = reference" ~count:60 (fun s ~fidelity ~prec ->
+      let a = Gen.operand s 0 ~rows:s.Gen.n ~cols:s.Gen.k
+      and c = Gen.operand s 2 ~rows:s.Gen.n ~cols:s.Gen.n in
+      let c' = Mat.copy c in
+      Emul.syrk_lower ~fidelity ~prec ~alpha:(alpha s) a ~beta:(beta s) c;
+      Oracle.Emul_ref.syrk_lower ~fidelity ~prec ~alpha:(alpha s) a ~beta:(beta s) c';
+      (c, c'))
+
+let prop_trsm =
+  diff "emulated trsm_right_lower_trans = reference" ~count:60 (fun s ~fidelity ~prec ->
+      let l = Blas.cholesky (Gen.spd_of_spec { Gen.n = s.Gen.n; mseed = s.Gen.sseed }) in
+      Gen.spoil_lower s l;
+      let b = Gen.operand s 1 ~rows:s.Gen.m ~cols:s.Gen.n in
+      let b' = Mat.copy b in
+      Emul.trsm_right_lower_trans ~fidelity ~prec ~l b;
+      Oracle.Emul_ref.trsm_right_lower_trans ~fidelity ~prec ~l b';
+      (b, b'))
+
+let prop_potrf =
+  diff "emulated potrf_lower = reference, also on failure" ~count:60
+    (fun s ~fidelity ~prec ->
+      let a = Gen.spd_of_spec { Gen.n = s.Gen.n; mseed = s.Gen.sseed } in
+      Gen.spoil_lower s ~diagonal:true a;
+      let a' = Mat.copy a in
+      let r = outcome (fun () -> Emul.potrf_lower ~fidelity ~prec a)
+      and r' = outcome (fun () -> Oracle.Emul_ref.potrf_lower ~fidelity ~prec a') in
+      if r <> r' then QCheck.Test.fail_reportf "potrf outcome differs at %s" (Fp.name prec);
+      (a, a'))
+
 let () =
   Alcotest.run "blas_emul"
     [
@@ -130,4 +201,6 @@ let () =
           Alcotest.test_case "potrf rejects indefinite" `Quick test_potrf_emul_rejects_indefinite;
           QCheck_alcotest.to_alcotest prop_emul_error_bounded;
         ] );
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest [ prop_gemm_nt; prop_syrk; prop_trsm; prop_potrf ] );
     ]

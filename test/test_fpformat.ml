@@ -349,6 +349,91 @@ let prop_sign_preserved =
       let y = Fp.round s x in
       y = 0. || Float.sign_bit y = Float.sign_bit x)
 
+(* --- bit-level rounding against the scalar reference ------------------ *)
+
+let same_bits = Geomix_verify.Oracle.same_bits
+
+let check_same s x =
+  let want = Fp.round s x and got = Fp.round_with (Fp.rounder s) x in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s %h: round %h, round_with %h" (Fp.scalar_name s) x want got)
+    true (same_bits want got)
+
+(* Grid facts of a format: spacing at 1.0, at the top binade, and the
+   smallest normal / subnormal magnitudes. *)
+let ulp1 s = 2. *. Fp.scalar_unit_roundoff s
+let min_sub s = Fp.scalar_min_subnormal s
+let min_normal s = min_sub s /. ulp1 s
+
+(* Every edge a rounding routine can get wrong, on both sides of zero:
+   ties to even at the mantissa cut, the largest finite value and the
+   first value past it, the normal/subnormal boundary, the smallest
+   subnormal and half of it, signed zeros and the non-finite values. *)
+let edges s =
+  let u = ulp1 s and mx = Fp.scalar_max_value s and tiny = min_sub s and mn = min_normal s in
+  let top_ulp = Float.ldexp u (snd (Float.frexp mx) - 1) in
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let positive =
+    List.concat
+      [
+        around (1. +. (u /. 2.));
+        around (1. +. (3. *. u /. 2.));
+        around (Float.ldexp (1. +. (u /. 2.)) 5);
+        around mx;
+        around (mx +. (top_ulp /. 2.));
+        around (mx +. top_ulp);
+        around mn;
+        around (mn -. (tiny /. 2.));
+        around tiny;
+        around (tiny /. 2.);
+        around (3. *. tiny /. 2.);
+        [ Float.min_float; 5e-324; Float.max_float; 0.; Float.infinity; 1e300 ];
+      ]
+  in
+  positive @ List.map Float.neg positive @ [ Float.nan; -.Float.nan ]
+
+let test_round_with_edges () = List.iter (fun s -> List.iter (check_same s) (edges s)) Fp.all_scalars
+
+let test_round_with_known () =
+  let r s x = Fp.round_with (Fp.rounder s) x in
+  let check what want got = Alcotest.(check bool) what true (same_bits want got) in
+  check "fp16 max" 65504. (r Fp.S_fp16 65504.);
+  check "fp16 just below the overflow tie" 65504. (r Fp.S_fp16 (Float.pred 65520.));
+  check "fp16 overflow tie" Float.infinity (r Fp.S_fp16 65520.);
+  check "fp16 negative overflow" Float.neg_infinity (r Fp.S_fp16 (-65520.));
+  check "e4m3 max" 448. (r Fp.S_fp8_e4m3 448.);
+  check "e4m3 tie to even below 480" 448. (r Fp.S_fp8_e4m3 464.);
+  check "e4m3 saturates" 448. (r Fp.S_fp8_e4m3 465.);
+  check "e4m3 saturates far out" (-448.) (r Fp.S_fp8_e4m3 (-1e30));
+  check "fp16 tie to even" 1. (r Fp.S_fp16 (1. +. Float.ldexp 1. (-11)));
+  check "fp16 tie to even (odd below)" (1. +. Float.ldexp 1. (-9))
+    (r Fp.S_fp16 (1. +. (3. *. Float.ldexp 1. (-11))));
+  check "fp16 half the smallest subnormal" 0. (r Fp.S_fp16 (Float.ldexp 1. (-25)));
+  check "fp16 negative underflow keeps its sign" (-0.) (r Fp.S_fp16 (-.Float.ldexp 1. (-25)));
+  check "fp16 just above half the smallest subnormal" (Float.ldexp 1. (-24))
+    (r Fp.S_fp16 (Float.succ (Float.ldexp 1. (-25))));
+  check "-0 passes through" (-0.) (r Fp.S_bf16 (-0.));
+  check "fp32 -0" (-0.) (r Fp.S_fp32 (-0.))
+
+(* Uniformly random binary64 bit patterns (mostly huge or tiny), and
+   patterns whose exponent lies in or near each format's range. *)
+let bits_gen =
+  QCheck.make ~print:(fun (s, x) -> Printf.sprintf "%s %h" (Fp.scalar_name s) x)
+    QCheck.Gen.(
+      pair (oneofl Fp.all_scalars) ui64 >>= fun (s, b) ->
+      map
+        (fun e ->
+          let x = Int64.float_of_bits b in
+          if e > 1000 then (s, x)
+          else
+            let m, _ = Float.frexp x in
+            (s, Float.ldexp m (e - 190)))
+        (int_range 0 1100))
+
+let prop_round_with_random_bits =
+  QCheck.Test.make ~name:"round_with = round on random bit patterns" ~count:20000 bits_gen
+    (fun (s, x) -> same_bits (Fp.round s x) (Fp.round_with (Fp.rounder s) x))
+
 let () =
   Alcotest.run "fpformat"
     [
@@ -385,6 +470,12 @@ let () =
           Alcotest.test_case "encode of unrepresentable" `Quick
             test_fp8_encode_of_unrepresentable;
           Alcotest.test_case "partial order" `Quick test_fp8_partial_order;
+        ] );
+      ( "bit-level",
+        [
+          Alcotest.test_case "round_with = round at the edges" `Quick test_round_with_edges;
+          Alcotest.test_case "round_with known values" `Quick test_round_with_known;
+          QCheck_alcotest.to_alcotest prop_round_with_random_bits;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -53,6 +53,20 @@ let test_distance () =
   Alcotest.(check (float 1e-12)) "symmetric" (Locations.distance locs 0 3)
     (Locations.distance locs 3 0)
 
+let test_cross_distance () =
+  (* Distances across two location sets read the flat coordinates in place
+     and equal, bit for bit, the distance inside the set they came from. *)
+  let r = rng () in
+  let locs = Locations.uniform_3d ~rng:r ~n:7 in
+  let obs = Locations.subset locs [ 0; 1; 2; 3 ] and fresh = Locations.subset locs [ 4; 5; 6 ] in
+  for i = 0 to 3 do
+    for j = 0 to 2 do
+      Alcotest.(check int64) "cross = within"
+        (Int64.bits_of_float (Locations.distance locs i (4 + j)))
+        (Int64.bits_of_float (Locations.cross_distance obs i fresh j))
+    done
+  done
+
 let test_morton_sort_improves_locality () =
   let r = rng () in
   let locs = Locations.uniform_2d ~rng:r ~n:400 in
@@ -253,6 +267,7 @@ let () =
           Alcotest.test_case "count" `Quick test_locations_count;
           Alcotest.test_case "separation" `Quick test_jitter_separation;
           Alcotest.test_case "distance" `Quick test_distance;
+          Alcotest.test_case "cross distance" `Quick test_cross_distance;
           Alcotest.test_case "morton locality" `Quick test_morton_sort_improves_locality;
         ] );
       ( "covariance",

@@ -163,6 +163,34 @@ let test_quantile_edge_cases () =
   Alcotest.(check bool) "p100 caps at max bucket" true
     (M.quantile s3 1.0 >= 10. /. 1.78)
 
+(* One bucket spans [0.178, 0.316): interpolating p99 inside it used to
+   report ~0.31 for a population whose largest value is 0.1879. *)
+let test_quantile_within_observed_range () =
+  let t = M.create () in
+  let h = M.histogram t "h" in
+  for _ = 1 to 100 do
+    M.observe h 0.1879
+  done;
+  let s = hist_of (M.find (M.snapshot t) "h") in
+  Alcotest.(check (float 0.)) "p99 is the max" 0.1879 (M.quantile s 0.99);
+  Alcotest.(check (float 0.)) "p01 is the min" 0.1879 (M.quantile s 0.01)
+
+let prop_quantile_bounded_monotone =
+  QCheck.Test.make ~name:"min <= quantile q <= max, monotone in q" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 60) (pair (int_range (-8) 3) (float_range 1. 10.)))
+        (float_range 0. 1.) (float_range 0. 1.))
+    (fun (obs, q1, q2) ->
+      let t = M.create () in
+      let h = M.histogram t "h" in
+      (* Values across decades, zeros included (the underflow bucket). *)
+      List.iter (fun (e, m) -> M.observe h (if e = -8 then 0. else m *. (10. ** float_of_int e))) obs;
+      let s = hist_of (M.find (M.snapshot t) "h") in
+      let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
+      let a = M.quantile s lo and b = M.quantile s hi in
+      s.M.min_v <= a && a <= b && b <= s.M.max_v)
+
 let test_span_timer () =
   let t = M.create () in
   let h = M.histogram t "h" in
@@ -874,6 +902,9 @@ let () =
           Alcotest.test_case "bucket bounds contain values" `Quick test_histogram_bucket_bounds;
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
           Alcotest.test_case "quantile edge cases" `Quick test_quantile_edge_cases;
+          Alcotest.test_case "quantile within observed range" `Quick
+            test_quantile_within_observed_range;
+          QCheck_alcotest.to_alcotest prop_quantile_bounded_monotone;
           Alcotest.test_case "span timer" `Quick test_span_timer;
           Alcotest.test_case "snapshot/diff algebra" `Quick test_snapshot_diff;
           Alcotest.test_case "exporters" `Quick test_exporters_cover_all_metrics;

@@ -12,6 +12,8 @@ module Mat = Geomix_linalg.Mat
 module Blas = Geomix_linalg.Blas
 module Check = Geomix_linalg.Check
 module Tiled = Geomix_tile.Tiled
+module Fp = Geomix_precision.Fpformat
+module Oracle = Geomix_verify.Oracle
 
 let positions order =
   let pos = Array.make (Array.length order) (-1) in
@@ -154,6 +156,50 @@ let test_dropped_edge_flips_in_some_schedule () =
   Alcotest.(check bool) "some schedule keeps sequential order" true !forward;
   Alcotest.(check bool) "some schedule flips the racing pair" true !flipped
 
+(* Bit-level rounding against the scalar reference over the whole grid of
+   each narrow format: every representable magnitude (subnormals
+   included), the midpoint to its successor, the binary64 neighbours of
+   that midpoint, and the negatives of all of them.  FP32's 2^31 values
+   are sampled instead: 4096 random mantissas in every binade. *)
+let test_rounding_grid_sweep () =
+  let rng = Geomix_util.Rng.create ~seed:12 in
+  List.iter
+    (fun s ->
+      let r = Fp.rounder s in
+      let bad = ref 0 and probes = ref 0 in
+      let probe x =
+        List.iter
+          (fun x ->
+            incr probes;
+            if not (Oracle.same_bits (Fp.round s x) (Fp.round_with r x)) then incr bad)
+          [ x; -.x ]
+      in
+      let mant = -snd (Float.frexp (Fp.scalar_unit_roundoff s)) in
+      let tiny = Fp.scalar_min_subnormal s and top = Fp.scalar_max_value s in
+      (match s with
+      | Fp.S_fp64 -> ()
+      | Fp.S_fp32 ->
+        for e = snd (Float.frexp tiny) - 2 to snd (Float.frexp top) + 1 do
+          for _ = 1 to 4096 do
+            let v = Float.ldexp (1. +. Geomix_util.Rng.float rng) (e - 1) in
+            List.iter probe [ Float.pred v; v; Float.succ v ]
+          done
+        done
+      | _ ->
+        (* The grid spacing at v ≥ 0: [tiny] up to 2^emin, then doubling
+           with every binade. *)
+        let spacing v = Float.max tiny (Float.ldexp 1. (snd (Float.frexp v) - 1 - mant)) in
+        let v = ref 0. in
+        while !v <= top do
+          let mid = !v +. (spacing (Float.max !v tiny) /. 2.) in
+          List.iter probe [ !v; Float.pred mid; mid; Float.succ mid ];
+          v := !v +. spacing (Float.max !v tiny)
+        done);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: mismatches in %d probes" (Fp.scalar_name s) !probes)
+        0 !bad)
+    Fp.all_scalars
+
 let () =
   Alcotest.run "verify-slow"
     [
@@ -165,4 +211,6 @@ let () =
           Alcotest.test_case "dropped edge flips" `Slow
             test_dropped_edge_flips_in_some_schedule;
         ] );
+      ( "rounding",
+        [ Alcotest.test_case "round_with = round over every grid" `Slow test_rounding_grid_sweep ] );
     ]
