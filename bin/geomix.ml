@@ -79,6 +79,35 @@ let pmap_of_config ~ntiles = function
   | `Mixed16 -> Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16
   | `Mixed16_32 -> Pm.two_level ~nt:ntiles ~off_diag:Fp.Fp16_32
 
+(* Metric snapshots: the --format of stats, chaos and ooc, and the
+   --metrics-out JSON file of chaos and ooc. *)
+
+let format_arg =
+  Arg.(
+    value
+    & opt (Arg.enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
+    & info [ "format" ] ~doc:"Metric output: table, csv or json.")
+
+let print_snapshot format snap =
+  let module Metrics = Geomix_obs.Metrics in
+  print_string
+    (match format with
+    | `Table -> Metrics.to_table snap
+    | `Csv -> Metrics.to_csv snap
+    | `Json -> Metrics.to_json_string snap ^ "\n")
+
+let metrics_out_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc)
+
+let write_metrics_out path snap =
+  match path with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    output_string oc (Geomix_obs.Metrics.to_json_string snap);
+    output_char oc '\n';
+    close_out oc
+
 let cov_of ~family ~sigma2 ~beta ~nu ~nugget =
   match family with
   | Covariance.Sqexp -> Covariance.sqexp ~nugget ~sigma2 ~beta ()
@@ -231,12 +260,7 @@ let stats_cmd =
       let dt = Unix.gettimeofday () -. t0 in
       Printf.printf "\nReal factorization: n=%d (nb=%d), %d worker(s), %.3f s wall clock\n"
         n run_nb !resources dt;
-      let snap = Metrics.snapshot reg in
-      print_string
-        (match format with
-        | `Table -> Metrics.to_table snap
-        | `Csv -> Metrics.to_csv snap
-        | `Json -> Metrics.to_json_string snap ^ "\n");
+      print_snapshot format (Metrics.snapshot reg);
       (match trace_json with
       | Some path ->
         let oc = open_out path in
@@ -279,12 +303,6 @@ let stats_cmd =
   in
   let gantt_arg =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Print an ASCII Gantt chart of the real --run schedule.")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (Arg.enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
-      & info [ "format" ] ~doc:"Metric output: table, csv or json.")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -406,15 +424,6 @@ let chaos_cmd =
       "chaos: NT=%d nb=%d, seed %d, fault rate %.0f%%, pivot rate %.0f%%, retry budget %d%s\n"
       ntiles nb seed (100. *. rate) (100. *. pivot_rate) attempts
       (if integrity <> None then ", SDC armed (ABFT guard on)" else "");
-    let write_metrics_out () =
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Metrics.to_json_string (Metrics.snapshot reg));
-        output_char oc '\n';
-        close_out oc
-    in
     let report =
       Geomix_parallel.Pool.with_pool ~obs:reg ?bus ?num_workers:workers (fun pool ->
         Chol.factorize_robust ~pool ?bus ~faults ~retry ~obs:reg ?integrity ~pmap a)
@@ -434,18 +443,14 @@ let chaos_cmd =
         (Guard.stamped g) (Guard.verified g)
         (Geomix_util.Table.fmt_bytes (float_of_int (Guard.hashed_bytes g)))
         (Guard.detected g) (Guard.recovered g));
-    let print_metrics () =
+    let emit_metrics () =
       let snap = Metrics.snapshot reg in
-      print_string
-        (match format with
-        | `Table -> Metrics.to_table snap
-        | `Csv -> Metrics.to_csv snap
-        | `Json -> Metrics.to_json_string snap ^ "\n")
+      print_snapshot format snap;
+      write_metrics_out metrics_out snap
     in
     match report.Chol.outcome with
     | Chol.Indefinite p ->
-      print_metrics ();
-      write_metrics_out ();
+      emit_metrics ();
       Printf.eprintf "geomix chaos: matrix indefinite at global pivot %d even at FP64\n" p;
       exit 2
     | Chol.Factorized ->
@@ -456,8 +461,7 @@ let chaos_cmd =
       let diff = Tiled.rel_diff a ~reference in
       Printf.printf "recovered factor vs fault-free run: rel diff %.3e (%s)\n" diff
         (if diff = 0. then "bitwise identical" else "MISMATCH");
-      print_metrics ();
-      write_metrics_out ();
+      emit_metrics ();
       if diff <> 0. then exit 1;
       (* SDC contract: with the guard on, a run that reaches this point has
          a bitwise-clean factor; additionally every detection must have
@@ -528,21 +532,12 @@ let chaos_cmd =
       & opt (some int) None
       & info [ "workers" ] ~doc:"Pool worker domains (default: cores - 1).")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (Arg.enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
-      & info [ "format" ] ~doc:"Metric output: table, csv or json.")
-  in
   let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ]
-          ~doc:
-            "Also write the final metrics snapshot (fault, recovery and \
-             integrity counters) as JSON to this file — written on both \
-             success and failure, so CI can upload it as an artifact.")
+    metrics_out_arg
+      ~doc:
+        "Also write the final metrics snapshot (fault, recovery and \
+         integrity counters) as JSON to this file — written on both \
+         success and failure, so CI can upload it as an artifact."
   in
   let exits =
     Cmd.Exit.info 0
@@ -677,26 +672,10 @@ let ooc_cmd =
         (if diff = 0. then "bitwise identical" else "MISMATCH");
       diff = 0.
     in
-    let print_metrics () =
-      let snap = Metrics.snapshot reg in
-      print_string
-        (match format with
-        | `Table -> Metrics.to_table snap
-        | `Csv -> Metrics.to_csv snap
-        | `Json -> Metrics.to_json_string snap ^ "\n")
-    in
-    let write_metrics_out () =
-      match metrics_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Metrics.to_json_string (Metrics.snapshot reg));
-        output_char oc '\n';
-        close_out oc
-    in
     let finishing ok =
-      print_metrics ();
-      write_metrics_out ();
+      let snap = Metrics.snapshot reg in
+      print_snapshot format snap;
+      write_metrics_out metrics_out snap;
       if not ok then exit 1
     in
     let arm_kill st at =
@@ -920,20 +899,11 @@ let ooc_cmd =
              ENOSPC, read bit-flips), absorbed by the store's bounded \
              retries.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (Arg.enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
-      & info [ "format" ] ~doc:"Metric output: table, csv or json.")
-  in
   let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ]
-          ~doc:
-            "Also write the final metrics snapshot (ooc.* spill, re-read, \
-             retry and quarantine counters) as JSON to this file.")
+    metrics_out_arg
+      ~doc:
+        "Also write the final metrics snapshot (ooc.* spill, re-read, \
+         retry and quarantine counters) as JSON to this file."
   in
   let exits =
     Cmd.Exit.info 0

@@ -20,6 +20,11 @@ let strategy t i j =
   assert (i >= j && j >= 0 && i < t.nt);
   t.strat.(pidx i j)
 
+let conversion t i j =
+  assert (i >= j && j >= 0 && i < t.nt);
+  let idx = pidx i j in
+  if t.strat.(idx) = Stc then Some t.comm.(idx) else None
+
 (* Input format consumed by the GEMM kernel running on a tile of the given
    kernel precision. *)
 let gemm_input_scalar pmap m n = Fpformat.input_scalar (Precision_map.get pmap m n)
@@ -99,7 +104,7 @@ let equal a b = a.nt = b.nt && a.comm = b.comm && a.strat = b.strat
 (* Shipped format of tile (i, j) under map [t]: the transfer format for STC
    tiles, the storage format for TTC tiles (which ship as stored). *)
 let shipped t pmap i j =
-  if t.strat.(pidx i j) = Stc then t.comm.(pidx i j) else Precision_map.storage pmap i j
+  match conversion t i j with Some s -> s | None -> Precision_map.storage pmap i j
 
 let override t pmap ~f =
   if Precision_map.nt pmap <> t.nt then invalid_arg "Comm_map.override: nt mismatch";
@@ -174,9 +179,10 @@ let motion t pmap ~nb =
         List.iter (fun r -> if r <> storage then incr c_ttc) rs;
         (* Automated conversion: Algorithm 2's transfer format where it
            grants STC (one conversion at the producer), TTC elsewhere. *)
-        let shipped = if t.strat.(pidx i j) = Stc then t.comm.(pidx i j) else storage in
+        let conv = conversion t i j in
+        let shipped = Option.value conv ~default:storage in
         b_stc := !b_stc +. (fc *. elems *. float_of_int (Fpformat.scalar_bytes shipped));
-        if t.strat.(pidx i j) = Stc then incr c_stc;
+        if conv <> None then incr c_stc;
         List.iter (fun r -> if r <> shipped then incr c_stc) rs;
         (* All-FP64 reference: what the run would move with no precision
            adaptation at all. *)

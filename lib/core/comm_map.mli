@@ -40,6 +40,14 @@ val comm_scalar : t -> int -> int -> Fpformat.scalar
 
 val strategy : t -> int -> int -> strategy
 
+val conversion : t -> int -> int -> Fpformat.scalar option
+(** The conversion the producer of tile (i, j) applies before its
+    broadcast: [Some s] under STC (down-convert once to [s]), [None] under
+    TTC (ship the stored tile as is).  The one place Algorithm 2's verdict
+    is turned into a transfer decision — the numeric drivers
+    ({!Mp_cholesky}, {!Ooc_cholesky}), the simulator and {!shipped} /
+    {!motion} all read it here. *)
+
 val equal : t -> t -> bool
 (** Tile-for-tile equality of transfer formats and strategies. *)
 

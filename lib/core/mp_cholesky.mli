@@ -38,13 +38,9 @@ val factorize :
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
-  ?store:Geomix_ooc.Store.t ->
   ?observe:(i:int -> j:int -> Geomix_linalg.Mat.t -> unit) ->
-  ?fault_round:int ->
-  ?job:Geomix_parallel.Pool.job ->
   pmap:Precision_map.t ->
   Tiled.t ->
   unit
@@ -60,24 +56,9 @@ val factorize :
     strategy models communication rounding; must have the matrix's tile
     count.
 
-    [?store] runs the factorization {e out of core} over a
-    {!Geomix_ooc.Store}: every stored tile of the matrix is adopted into
-    the store up front, each task's declared footprint is pinned resident
-    for the duration of its supervision envelope (acquired before the
-    first attempt's snapshot, released — written tile dirty — after the
-    last, also on failure), and tiles past the store's residency budget
-    are spilled to disk in their narrowest lossless format and reloaded
-    through the checksum-verified fault seam on next use.  Broadcast
-    payloads stay in memory (they are immutable once published), so the
-    factor is {e bitwise identical} to an in-core run under any budget.
-    On return the tiled matrix holds the store's resident images of the
-    factor, and the store's keys are the packed lower-tile indices
-    [i·(i+1)/2 + j].
-
-    [?job] scopes the execution to a {!Geomix_parallel.Pool.job}, so
-    concurrent factorizations sharing one pool neither await nor observe
-    each other's tasks or failures — how the request server multiplexes
-    requests over the shared domain pool.
+    Every tile stays resident; the out-of-core path is
+    {!Ooc_cholesky}, whose checkpointed driver produces this function's
+    factor bitwise under a bounded residency budget.
 
     [?observe] is the range-instrumentation hook (the [?obs]-style pilot
     pass of the autotuner): after each kernel writes tile (i, j), the
@@ -128,10 +109,8 @@ val factorize :
     [cholesky.shipped_bytes_fp64] (the 8-byte-per-element FP64-equivalent
     baseline), [cholesky.shipped_edges], and a
     [cholesky.shipped_bytes.<scalar>] counter per transfer format.
-    [?span] attributes the very same quantities — same call site, same
-    values — to a per-request trace span ({!Geomix_obs.Span}), along with
-    task completions and supervised retries, so a fully-sampled traced
-    run conserves the aggregate counters bitwise.
+    Request-scoped span attribution of the same quantities is a
+    {!factorize_robust} feature (its [?job]).
 
     [?faults] additionally arms forced pivot failures (site ["pivot"],
     {!Geomix_fault.Fault.pivot_failure}): an armed POTRF(k) whose row band
@@ -139,8 +118,9 @@ val factorize :
     touching its tile, emulating the precision-induced loss of positive
     definiteness the escalation fallback exists for.  Blocks whose band is
     already entirely FP64 never fire — an escalated re-run genuinely cures
-    the injection.  [?fault_round] (default 1) feeds the pivot decision's
-    attempt slot so each {!factorize_robust} round redraws independently.
+    the injection.  The pivot decision's attempt slot is the escalation
+    round (always 1 here), so each {!factorize_robust} round redraws
+    independently.
 
     {b ABFT tile integrity.}  [?integrity] guards every producer/consumer
     boundary of the factorization with per-tile checksums
@@ -171,7 +151,7 @@ val factorize :
 
     When [?faults] lists {!Geomix_fault.Fault.Sdc}, each task additionally
     draws a seeded silent corruption ({!Geomix_fault.Fault.sdc_decide},
-    keyed like pivot injection by [?fault_round]): POTRF/TRSM corrupt the
+    keyed like pivot injection by the round): POTRF/TRSM corrupt the
     broadcast payload they just published (a fresh corrupted copy replaces
     the slot — a transit corruption, never damage to the stored factor),
     SYRK/GEMM flip a bit of their accumulator tile in memory.  Injection
@@ -217,16 +197,13 @@ type report = {
 val factorize_robust :
   ?options:options ->
   ?pool:Geomix_parallel.Pool.t ->
-  ?trace:Geomix_runtime.Trace.t ->
   ?bus:Geomix_obs.Events.t ->
   ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?cmap:Comm_map.t ->
-  ?store:Geomix_ooc.Store.t ->
   ?max_band_escalations:int ->
   ?job:Geomix_parallel.Pool.job ->
   pmap:Precision_map.t ->
@@ -248,7 +225,18 @@ val factorize_robust :
     passed through to every {!factorize} round, so a multi-round recovery
     produces one continuous event stream and a profile whose per-task
     durations accumulate across rounds.  Never raises
-    [Not_positive_definite]. *)
+    [Not_positive_definite].
+
+    [?job] scopes every round to a {!Geomix_parallel.Pool.job}, so
+    concurrent factorizations sharing one pool neither await nor observe
+    each other's tasks or failures — how the request server multiplexes
+    requests over the shared domain pool.  When the job was created with
+    a span ({!Geomix_parallel.Pool.new_job}[ ~span]), the span is read
+    back with {!Geomix_parallel.Pool.job_span} and credited with every
+    RAW-edge transfer — the same call site and the same values as the
+    [cholesky.shipped_bytes*] counters — plus task completions and
+    supervised retries, so a fully-sampled traced run conserves the
+    aggregate counters bitwise. *)
 
 val solve_lower : Tiled.t -> float array -> float array
 (** Forward substitution [L·y = b] on a factorized tiled matrix (FP64). *)

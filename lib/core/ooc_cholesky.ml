@@ -23,8 +23,7 @@ type outcome =
 type ctx = {
   st : Store.t;
   pmap : Precision_map.t;
-  options : Mp_cholesky.options;
-  cmap : Comm_map.t option;
+  cmap : Comm_map.t;
   nt : int;
   nb : int;
   n : int;
@@ -33,28 +32,13 @@ type ctx = {
   cur : int ref;  (* current column — drives the farthest-next-use order *)
 }
 
-let mk_ctx ?(options = Mp_cholesky.default_options) ?cmap ?(checkpoint_every = 1)
-    ~store ~pmap ~nt ~nb ~n () =
+let mk_ctx ?(checkpoint_every = 1) ~store ~pmap ~nt ~nb ~n () =
   if checkpoint_every < 1 then
     invalid_arg "Ooc_cholesky: checkpoint_every < 1";
-  (match cmap with
-  | Some cm when Comm_map.nt cm <> nt ->
-    invalid_arg "Ooc_cholesky: comm map / matrix tile mismatch"
-  | _ -> ());
-  (* Same derivation as Mp_cholesky.factorize: the communication map only
-     exists when the Automatic strategy models transfer rounding. *)
-  let cmap =
-    if
-      options.Mp_cholesky.model_comm_rounding
-      && options.Mp_cholesky.strategy = Mp_cholesky.Automatic
-    then Some (match cmap with Some cm -> cm | None -> Comm_map.compute pmap)
-    else None
-  in
   {
     st = store;
     pmap;
-    options;
-    cmap;
+    cmap = Comm_map.compute pmap;
     nt;
     nb;
     n;
@@ -62,17 +46,6 @@ let mk_ctx ?(options = Mp_cholesky.default_options) ?cmap ?(checkpoint_every = 1
     every = checkpoint_every;
     cur = ref 0;
   }
-
-(* The conversion a publish applies to produce the broadcast form —
-   bitwise the same decision Mp_cholesky makes, so the shipped operands
-   (and hence the factor) are bit-identical. *)
-let comm_conversion ctx i j =
-  match ctx.cmap with
-  | None -> None
-  | Some cm ->
-    if Comm_map.strategy cm i j = Comm_map.Stc then
-      Some (Comm_map.comm_scalar cm i j)
-    else None
 
 (* Farthest-next-use eviction order of the left-looking schedule (the
    I/O-aware static order of arXiv 2410.09819).  A key's priority is the
@@ -101,13 +74,14 @@ let install_priority ctx =
    down to FP16/FP8 records. *)
 let read_ship ctx i j =
   let key =
-    if comm_conversion ctx i j = None then pidx i j else ctx.npairs + pidx i j
+    if Comm_map.conversion ctx.cmap i j = None then pidx i j
+    else ctx.npairs + pidx i j
   in
   (Store.acquire ctx.st key, key)
 
 let publish ctx i j m =
   Mat.round_inplace (Precision_map.storage ctx.pmap i j) m;
-  match comm_conversion ctx i j with
+  match Comm_map.conversion ctx.cmap i j with
   | Some s -> Store.put ctx.st (ctx.npairs + pidx i j) (Mat.rounded s m)
   | None -> ()
 
@@ -117,7 +91,7 @@ let publish ctx i j m =
    on-disk state between steps is always a consistent prefix. *)
 let step ctx j =
   ctx.cur := j;
-  let fidelity = ctx.options.Mp_cholesky.fidelity in
+  let fidelity = Mp_cholesky.default_options.Mp_cholesky.fidelity in
   let kernel_precision i j = Precision_map.get ctx.pmap i j in
   let prec kind = Task.exec_precision ~kernel_precision kind in
   let c = Store.acquire ctx.st (pidx j j) in
@@ -197,13 +171,12 @@ let finalize ctx a =
   done;
   ckpt ctx ~completed:ctx.nt ~finalized:true
 
-let factorize ?options ?cmap ?checkpoint_every ~store ~pmap a =
+let factorize ?checkpoint_every ~store ~pmap a =
   let nt = Tiled.nt a in
   if Precision_map.nt pmap <> nt then
     invalid_arg "Ooc_cholesky.factorize: precision map / matrix tile mismatch";
   let ctx =
-    mk_ctx ?options ?cmap ?checkpoint_every ~store ~pmap ~nt ~nb:(Tiled.nb a)
-      ~n:(Tiled.n a) ()
+    mk_ctx ?checkpoint_every ~store ~pmap ~nt ~nb:(Tiled.nb a) ~n:(Tiled.n a) ()
   in
   install_priority ctx;
   Tiled.iter_lower a (fun ~i ~j m -> Store.put store (pidx i j) m);
@@ -214,9 +187,8 @@ let factorize ?options ?cmap ?checkpoint_every ~store ~pmap a =
   run_columns ctx ~from:0;
   finalize ctx a
 
-let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
-    ~dir ~init ~pmap () =
-  let st, rcv = Store.recover ?obs ?faults ?budget ?max_attempts ~dir () in
+let resume ?checkpoint_every ?obs ?faults ?budget ~dir ~init ~pmap () =
+  let st, rcv = Store.recover ?obs ?faults ?budget ~dir () in
   let geti key default =
     match List.assoc_opt key rcv.Store.rec_meta with
     | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
@@ -232,27 +204,20 @@ let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
   if List.exists (fun k -> k < npairs) rcv.Store.quarantined then begin
     (* A stored record rotted: the factor prefix itself is untrusted, so
        nothing short of recomputation is sound.  Re-adopt the input and
-       run from scratch; stale broadcast records are overwritten as their
-       columns republish and never read before that. *)
+       run the fresh factorization over the recovered store; stale
+       broadcast records are overwritten as their columns republish and
+       never read before that. *)
     let a = init () in
     if Tiled.nt a <> nt then
       invalid_arg "Ooc_cholesky.resume: init () tile count mismatch";
-    let ctx =
-      mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap ~nt
-        ~nb:(Tiled.nb a) ~n:(Tiled.n a) ()
-    in
-    install_priority ctx;
-    Tiled.iter_lower a (fun ~i ~j m -> Store.put st (pidx i j) m);
-    ckpt ctx ~completed:0 ~finalized:false;
-    run_columns ctx ~from:0;
-    finalize ctx a;
+    factorize ?checkpoint_every ~store:st ~pmap a;
     (st, a, Restarted { quarantined = rcv.Store.quarantined })
   end
   else begin
     let a = if n > 0 && nb > 0 then Tiled.create ~n ~nb else init () in
     let ctx =
-      mk_ctx ?options ?cmap ?checkpoint_every ~store:st ~pmap ~nt
-        ~nb:(Tiled.nb a) ~n:(Tiled.n a) ()
+      mk_ctx ?checkpoint_every ~store:st ~pmap ~nt ~nb:(Tiled.nb a)
+        ~n:(Tiled.n a) ()
     in
     install_priority ctx;
     (* Quarantined broadcast records are pure derivations of the verified
@@ -262,7 +227,7 @@ let resume ?options ?cmap ?checkpoint_every ?obs ?faults ?budget ?max_attempts
       (fun key ->
         let i, k = unpack (key - npairs) in
         if k < completed then
-          match comm_conversion ctx i k with
+          match Comm_map.conversion ctx.cmap i k with
           | Some s ->
             let m = Store.acquire st (pidx i k) in
             Store.put st key (Mat.rounded s m);

@@ -11,8 +11,13 @@
     publishes.  Because each per-tile update chain is applied in the same
     [k]-ascending order the DAG serializes it in, with bit-identical
     operands, the factor is {e bitwise identical} to
-    {!Mp_cholesky.factorize} under the same options, precision map and
-    communication map — the property the parity tests pin.
+    {!Mp_cholesky.factorize} under its default options and the same
+    precision map — the property the parity tests pin.  Both drivers take
+    each broadcast's transfer format from the one
+    {!Comm_map.conversion} of [Comm_map.compute pmap].
+
+    This is the library's one out-of-core path, and the only one with
+    crash recovery.
 
     {b Eviction order.}  The driver installs the I/O-aware static
     priority of the left-looking schedule (the farthest-next-use order of
@@ -36,8 +41,6 @@ open Geomix_tile
 module Store = Geomix_ooc.Store
 
 val factorize :
-  ?options:Mp_cholesky.options ->
-  ?cmap:Comm_map.t ->
   ?checkpoint_every:int ->
   store:Store.t ->
   pmap:Precision_map.t ->
@@ -64,13 +67,10 @@ type outcome =
           itself is untrusted, so the run restarted from [init ()] *)
 
 val resume :
-  ?options:Mp_cholesky.options ->
-  ?cmap:Comm_map.t ->
   ?checkpoint_every:int ->
   ?obs:Geomix_obs.Metrics.t ->
   ?faults:Geomix_fault.Fault.t ->
   ?budget:int ->
-  ?max_attempts:int ->
   dir:string ->
   init:(unit -> Tiled.t) ->
   pmap:Precision_map.t ->
@@ -81,7 +81,10 @@ val resume :
     {!Geomix_ooc.Store.recover}; quarantined {e broadcast} records are
     recomputed from the (verified) stored factor, while a quarantined
     {e stored} record invalidates the prefix and restarts from [init ()]
-    — a typed recovery in both cases, never a wrong result.  [init] must
+    — a typed recovery in both cases, never a wrong result (the restart
+    is {!factorize} over the recovered store).  [?obs], [?faults] and
+    [?budget] configure the recovered store as in
+    {!Geomix_ooc.Store.recover}.  [init] must
     rebuild the original input matrix (it is also consulted for shape
     validation against the manifest metadata).  Returns the recovered
     store, the factored matrix and how completion was achieved.

@@ -277,12 +277,11 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
       in
       let stc_conv =
         if finalises then begin
-          match cmap with
-          | Some cm when Comm_map.strategy cm wi wj = Comm_map.Stc ->
+          match Option.bind cmap (fun cm -> Comm_map.conversion cm wi wj) with
+          | Some into ->
             incr conversions;
-            Exec_model.conversion_time gpu ~nb ~from:storage.(widx)
-              ~into:(Comm_map.comm_scalar cm wi wj)
-          | _ -> 0.
+            Exec_model.conversion_time gpu ~nb ~from:storage.(widx) ~into
+          | None -> 0.
         end
         else 0.
       in
@@ -304,11 +303,11 @@ let run ?(options = default_options) ?cmap ~machine ~pmap ~nb () =
       makespan := Float.max !makespan finish;
       if finalises then begin
         produced_at.(widx) <- finish;
-        match cmap with
-        | Some cm when Comm_map.strategy cm wi wj = Comm_map.Stc ->
+        match Option.bind cmap (fun cm -> Comm_map.conversion cm wi wj) with
+        | Some s ->
           is_stc.(widx) <- true;
-          transfer_scalar.(widx) <- Comm_map.comm_scalar cm wi wj
-        | _ -> ()
+          transfer_scalar.(widx) <- s
+        | None -> ()
       end;
       incr processed;
       List.iter

@@ -79,18 +79,14 @@ let evaluate engine ~cov ~locs ~z =
     assemble ~n ~log_det:(Geomix_tlr.Tlr.log_det t) ~quad_form
       ~precision_fractions:fractions ()
 
-let evaluate_robust ?faults ?retry ?obs ?max_band_escalations engine ~cov ~locs
-    ~z =
+let evaluate_robust engine ~cov ~locs ~z =
   let n = Locations.count locs in
   assert (Array.length z = n);
   match engine with
   | Mixed { u_req; nb; options } ->
     let a = Covariance.build_tiled cov locs ~nb in
     let pmap = Precision_map.of_tiled ~u_req a in
-    let report =
-      Mp_cholesky.factorize_robust ~options ?faults ?retry ?obs
-        ?max_band_escalations ~pmap a
-    in
+    let report = Mp_cholesky.factorize_robust ~options ~pmap a in
     (match report.Mp_cholesky.outcome with
     | Mp_cholesky.Indefinite _ ->
       indefinite_evaluation

@@ -64,24 +64,18 @@ val evaluate : engine -> cov:Covariance.t -> locs:Locations.t -> z:float array -
     numerically indefinite at the working precision. *)
 
 val evaluate_robust :
-  ?faults:Geomix_fault.Fault.t ->
-  ?retry:Geomix_fault.Retry.policy ->
-  ?obs:Geomix_obs.Metrics.t ->
-  ?max_band_escalations:int ->
-  engine ->
-  cov:Covariance.t ->
-  locs:Locations.t ->
-  z:float array ->
-  evaluation
+  engine -> cov:Covariance.t -> locs:Locations.t -> z:float array -> evaluation
 (** Evaluate through {!Geomix_core.Mp_cholesky.factorize_robust}: a
     mixed-precision factorization that loses positive definiteness is
     escalated (band, then full FP64) instead of failing, and the result's
     [status] says what happened.  Only genuinely indefinite Σ(θ) yields
-    [Indefinite] — reported in the [evaluation], never raised.  [?faults]
-    and [?retry] additionally arm fault injection and supervised task retry
-    inside the factorization (chaos testing); [?obs] collects the recovery
-    counters.  For [Exact] and [Tlr] engines there is no precision to
-    escalate: indefiniteness is mapped to [Indefinite] directly. *)
+    [Indefinite] — reported in the [evaluation], never raised.  The
+    escalation runs with {!Geomix_core.Mp_cholesky.factorize_robust}'s
+    defaults; callers that need fault injection, recovery counters or a
+    shared pool drive [factorize_robust] themselves and combine the
+    result with {!assemble}, as the request server does.  For [Exact] and
+    [Tlr] engines there is no precision to escalate: indefiniteness is
+    mapped to [Indefinite] directly. *)
 
 val loglik : engine -> cov:Covariance.t -> locs:Locations.t -> z:float array -> float
 (** [(evaluate_robust ...).loglik]: indefiniteness yields [neg_infinity] so

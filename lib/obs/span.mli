@@ -1,11 +1,11 @@
 (** Per-request trace spans: the attribution context of the live
     telemetry layer.
 
-    The serve path creates one span per sampled request and threads it
-    down through the cache, the pool job, the DTD interpreter and the
-    tile-Cholesky kernel hooks; every RAW-edge transfer, task execution
-    and retry along the way lands in the originating request's
-    accumulators.  The resulting {!summary} is the per-request analogue
+    The serve path creates one span per sampled request and hands it to
+    the cache lookup and to the request's pool job, from which the
+    tile-Cholesky kernel hooks read it back; every RAW-edge transfer,
+    task execution and retry along the way lands in the originating
+    request's accumulators.  The resulting {!summary} is the per-request analogue
     of the paper's aggregate motion accounting: bytes shipped under the
     synchronization-reducing conversion (STC) versus the FP64-equivalent
     baseline, split by transfer precision, next to task/retry counts and

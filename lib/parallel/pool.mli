@@ -106,8 +106,10 @@ val new_job : ?span:Geomix_obs.Span.t -> t -> job
     between the registry histograms and the span. *)
 
 val job_span : job -> Geomix_obs.Span.t option
-(** The trace context the job was created with — executors propagate it
-    to their own per-task hooks. *)
+(** The trace context the job was created with.  A job-scoped executor
+    reads it back here instead of taking the span as a second argument:
+    {!Geomix_core.Mp_cholesky.factorize_robust}[ ~job] credits the job's
+    span with every RAW-edge transfer, task completion and retry. *)
 
 val submit_job : t -> job -> (unit -> unit) -> unit
 (** Enqueue a thunk under the job's scope.  A job is {e sequentially}

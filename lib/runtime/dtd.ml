@@ -153,9 +153,8 @@ let successors t id =
 
 let in_degree t = Array.init t.count (fun id -> t.tasks.(id).indeg)
 
-let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
-    ?profile ?faults ?retry ?snapshot ?integrity ?datum_mat ?observe ?acquire
-    ?release ?job t =
+let execute ?pool ?obs ?(datum_bytes = default_datum_bytes) ?trace ?bus ?faults
+    ?retry ?snapshot ?integrity ?datum_mat ?observe t =
   (* The executing bus defaults to the one the graph was built with, so a
      Dtd created with [?bus] narrates submission and execution on the same
      stream without repeating the argument. *)
@@ -171,21 +170,6 @@ let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
         Metrics.incr tasks;
         Metrics.add bytes (task_in_bytes ~datum_bytes t id);
         Metrics.add edges (List.length t.tasks.(id).raw_srcs)
-  in
-  (* Request attribution: the same RAW-edge volume the registry counters
-     accumulate, credited to the originating request's span.  Dtd data have
-     no transfer scalar, so bytes and the FP64-equivalent coincide. *)
-  let span_note =
-    match span with
-    | None -> fun _ -> ()
-    | Some sp ->
-      fun id ->
-        List.iter
-          (fun (key, _writer) ->
-            let b = datum_bytes key in
-            Geomix_obs.Span.note_transfer sp ~bytes:b ~fp64_bytes:b)
-          t.tasks.(id).raw_srcs;
-        Geomix_obs.Span.note_task sp
   in
   let note_complete =
     match bus with
@@ -207,7 +191,6 @@ let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
         [
           Option.map (fun tr -> Obs_bridge.recorder ~name:task_label tr) trace;
           Option.map (fun b -> Obs_bridge.bus_recorder ~name:task_label ~component:"dtd" b) bus;
-          Option.map (fun c -> Obs_bridge.profile_recorder ~name:task_label c) profile;
         ]
     in
     match hooks with [] -> None | [ h ] -> Some h | hs -> Some (Obs_bridge.fanout hs)
@@ -247,13 +230,12 @@ let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
               [ ("backoff_s", Events.fnum (Geomix_fault.Retry.delay_for p ~attempt)) ]))
   in
   let note_retry =
-    match (metric_retry, bus_retry, span) with
-    | None, None, None -> None
+    match (metric_retry, bus_retry) with
+    | None, None -> None
     | _ ->
       Some
         (fun ~id ~attempt exn ->
           (match metric_retry with Some f -> f ~id ~attempt exn | None -> ());
-          (match span with Some sp -> Geomix_obs.Span.note_retry sp | None -> ());
           match bus_retry with Some f -> f ~id ~attempt exn | None -> ())
   in
   (* A task's restorable state is exactly its declared written footprint:
@@ -312,12 +294,11 @@ let execute ?pool ?obs ?span ?(datum_bytes = default_datum_bytes) ?trace ?bus
   in
   let run pool =
     Dag_exec.run ?obs:dag_obs ~task_name:(fun id -> t.tasks.(id).name) ?faults ?retry
-      ?capture ?on_retry:note_retry ?acquire ?release ?job ~pool ~num_tasks:t.count
+      ?capture ?on_retry:note_retry ~pool ~num_tasks:t.count
       ~in_degree:(in_degree t)
       ~successors:(fun id -> t.tasks.(id).succs)
       ~execute:(fun id ->
         record id;
-        span_note id;
         verify_in id;
         t.tasks.(id).body ();
         observe_out id;

@@ -67,20 +67,15 @@ val comm_volume : ?datum_bytes:(int -> int) -> t -> int
 val execute :
   ?pool:Geomix_parallel.Pool.t ->
   ?obs:Geomix_obs.Metrics.t ->
-  ?span:Geomix_obs.Span.t ->
   ?datum_bytes:(int -> int) ->
   ?trace:Trace.t ->
   ?bus:Geomix_obs.Events.t ->
-  ?profile:Geomix_obs.Profile.collector ->
   ?faults:Geomix_fault.Fault.t ->
   ?retry:Geomix_fault.Retry.policy ->
   ?snapshot:(int -> unit -> unit) ->
   ?integrity:Geomix_integrity.Guard.t ->
   ?datum_mat:(int -> Geomix_linalg.Mat.t option) ->
   ?observe:(key:int -> Geomix_linalg.Mat.t -> unit) ->
-  ?acquire:(task_id -> unit) ->
-  ?release:(task_id -> unit) ->
-  ?job:Geomix_parallel.Pool.job ->
   t ->
   unit
 (** Run every inserted task under the derived dependencies (serial pool by
@@ -94,14 +89,6 @@ val execute :
     resource = pool worker index) — feed it to {!Trace.to_chrome_json} or
     {!Trace.gantt} for a real-run timeline.
 
-    [?span] attributes the execution to a per-request trace span
-    ({!Geomix_obs.Span}): one {!Geomix_obs.Span.note_transfer} per RAW
-    edge (bytes under [datum_bytes]; Dtd data carry no transfer scalar, so
-    the FP64-equivalent equals the shipped volume), one task completion
-    per body run, and a retry note per supervised re-execution — the same
-    quantities [?obs] accumulates in [dtd.raw_bytes]/[dtd.raw_edges],
-    credited to the originating request.
-
     [?bus] (default: the bus the graph was created with, if any) streams
     the same execution onto the telemetry bus (component ["dtd"]): Debug
     [task_begin]/[task_end] pairs carrying the measured run-relative span
@@ -110,9 +97,6 @@ val execute :
     RAW-edge count and byte volume under [datum_bytes], and a Warn [retry]
     per supervised re-execution with the attempt number, the failed
     exception and (when [?retry] is given) the backoff applied.
-    [?profile] collects one {!Geomix_obs.Profile} measure per completed
-    task for critical-path analysis — pass the result to
-    {!Geomix_obs.Profile.analyze} with [~preds] from {!predecessors}.
 
     {b Supervised recovery.}  [?faults] subjects every task body to the
     seeded fault plan (site ["exec"], keyed by the task's {e name}), and
@@ -150,19 +134,12 @@ val execute :
     or synchronized ({!Geomix_autotune.Range_tracker} keeps per-tile
     accumulators).
 
-    {b Out-of-core residency.}  [?acquire]/[?release] bracket each task's
-    supervision envelope (forwarded to {!Geomix_parallel.Dag_exec.run}):
-    an out-of-core tile store pins the task's declared footprint — from
-    {!footprint} — so no in-flight tile is evicted under a kernel, and
-    unpins it after the last attempt, also on failure.  Called from worker
-    domains, so they must be thread-safe.
-
-    {b Shared pools.}  [?job] scopes the run to a
-    {!Geomix_parallel.Pool.job}: concurrent [execute] calls sharing one
-    pool neither await nor observe each other's tasks or failures — the
-    contract the request server ({!Geomix_serve.Server}) relies on.
-    Without it, the final wait covers every pool thunk (pool-wide
-    fail-fast semantics). *)
+    The final wait covers every pool thunk (pool-wide fail-fast
+    semantics), so concurrent [execute] calls should not share a pool.
+    Request-scoped execution — per-job isolation, span attribution and
+    critical-path profiles — lives in the tile Cholesky
+    ({!Geomix_core.Mp_cholesky.factorize_robust}), the path the request
+    server drives. *)
 
 val critical_path_length : t -> int
 (** Longest dependency chain, in tasks — the inherent sequential depth of

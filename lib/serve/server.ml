@@ -412,13 +412,15 @@ let factorized_problem ?trace t (key : Cache.key) =
   let art, hit = Cache.find_or_build ?span t.cache key ~build:build_artifact in
   let cov = cov_of key in
   let a = Covariance.build_tiled cov art.Cache.locs ~nb:key.Cache.nb in
+  (* The job carries the span: the pool times its items into it and the
+     factorization credits its transfers, tasks and retries to it. *)
   let job = Pool.new_job ?span t.pool in
   let guard =
     if t.integrity then Some (Guard.create ~obs:t.obs ?bus:t.bus ~snapshots:true ())
     else None
   in
   let report =
-    Mp_cholesky.factorize_robust ~pool:t.pool ~job ?bus:t.bus ?span
+    Mp_cholesky.factorize_robust ~pool:t.pool ~job ?bus:t.bus
       ?profile:(Option.map (fun c -> c.prof) trace)
       ?faults:t.faults ?retry:t.retry ?integrity:guard ~obs:t.obs
       ~cmap:art.Cache.cmap ~pmap:art.Cache.pmap a

@@ -6,6 +6,7 @@
 module Fault = Geomix_fault.Fault
 module Retry = Geomix_fault.Retry
 module Metrics = Geomix_obs.Metrics
+module Span = Geomix_obs.Span
 module Pool = Geomix_parallel.Pool
 module Dag_exec = Geomix_parallel.Dag_exec
 module Dtd = Geomix_runtime.Dtd
@@ -545,6 +546,35 @@ let test_cholesky_true_indefiniteness () =
   Alcotest.(check int) "recovery.indefinite" 1
     (counter_of (Metrics.snapshot reg) "recovery.indefinite")
 
+(* Request attribution rides the pool job: a factorization scoped to a job
+   created with a span credits that span with every RAW-edge transfer and
+   task — the same values as the registry counters — with no span argument
+   of its own. *)
+let test_cholesky_job_span_attribution () =
+  let nt = 4 and nb = 8 in
+  let pmap = Pm.two_level ~nt ~off_diag:Fp.Fp16_32 in
+  let a = spd ~nt ~nb in
+  let reg = Metrics.create () in
+  let span = Span.create ~request_id:"job-span" () in
+  let report =
+    Pool.with_pool ~num_workers:2 (fun pool ->
+      let job = Pool.new_job ~span pool in
+      Chol.factorize_robust ~pool ~job ~obs:reg ~pmap a)
+  in
+  Alcotest.(check int) "one round" 1 report.Chol.rounds;
+  let snap = Metrics.snapshot reg in
+  let s = Span.summary span in
+  let shipped = counter_of snap "cholesky.shipped_bytes" in
+  Alcotest.(check bool) "transfers happened" true (shipped > 0);
+  Alcotest.(check int) "span STC bytes = cholesky.shipped_bytes" shipped
+    s.Span.s_bytes_stc;
+  Alcotest.(check int) "span FP64 bytes = cholesky.shipped_bytes_fp64"
+    (counter_of snap "cholesky.shipped_bytes_fp64")
+    s.Span.s_bytes_fp64;
+  Alcotest.(check int) "span tasks = DAG tasks"
+    (Geomix_runtime.Cholesky_dag.num_tasks (Geomix_runtime.Cholesky_dag.create ~nt))
+    s.Span.s_tasks
+
 (* Likelihood: robust evaluation statuses *)
 
 let test_likelihood_robust_clean () =
@@ -697,6 +727,8 @@ let () =
         [
           Alcotest.test_case "global pivot index" `Quick test_cholesky_global_pivot_index;
           Alcotest.test_case "chaos equivalence" `Quick test_cholesky_chaos_equivalence;
+          Alcotest.test_case "job span attribution" `Quick
+            test_cholesky_job_span_attribution;
           Alcotest.test_case "pivot escalation recovers" `Quick
             test_cholesky_pivot_escalation_recovers;
           Alcotest.test_case "escalation reaches full map" `Quick
